@@ -32,6 +32,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.meta_blocking import PRUNINGS, check_options
 from repro.core.weights import weight_np
 
 
@@ -107,7 +108,7 @@ def _threshold(weights: np.ndarray, *, pruning: str, blast_c: float, cnp_k: int)
     if pruning == "cnp":
         ws = np.sort(weights)[::-1]
         return float(ws[min(cnp_k, len(ws)) - 1])
-    raise ValueError(f"unknown pruning {pruning!r}")
+    raise ValueError(f"unknown pruning {pruning!r}; pick one of {PRUNINGS}")
 
 
 def meta_blocking_broadcast(
@@ -123,6 +124,7 @@ def meta_blocking_broadcast(
 ) -> DataFrame:
     """Paper-faithful parallel meta-blocking; same contract as
     :func:`repro.core.meta_blocking.meta_blocking`."""
+    check_options(scheme, pruning)
     if use_entropy and entropies is None:
         raise ValueError("use_entropy=True requires the entropies table")
 

@@ -23,9 +23,18 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.weights import weight_col
+from repro.core.weights import SCHEMES, weight_col
 
 PRUNINGS = ("wep", "wnp", "blast", "cnp")
+
+
+def check_options(scheme: str, pruning: str) -> None:
+    """Reject an unknown weighting scheme or pruning strategy up front, on
+    the driver, before any Spark job runs."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+    if pruning not in PRUNINGS:
+        raise ValueError(f"unknown pruning {pruning!r}; pick one of {PRUNINGS}")
 
 
 def build_graph(
@@ -139,6 +148,7 @@ def meta_blocking(
     cnp_k: int = 10,
 ) -> DataFrame:
     """Full meta-blocking: weighted graph construction + pruning."""
+    check_options(scheme, pruning)
     edges = build_graph(
         blocks, scheme=scheme, use_entropy=use_entropy, entropies=entropies
     )

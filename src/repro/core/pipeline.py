@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.core import blocking, filtering, meta_blocking, purging
 from repro.core.clusterer import cluster_entities
@@ -30,9 +31,8 @@ def _mat(df: DataFrame) -> DataFrame:
 
     ``localCheckpoint`` truncates lineage; downstream metrics and the
     meta-blocking self-joins re-read the materialized partitions instead
-    of re-optimizing and re-running the whole upstream DAG (the LSH and
-    connected-components plans are deep enough that lazy ``cache()``
-    caused pathological re-planning).
+    of re-optimizing and re-running the whole upstream DAG (deep plans
+    under lazy ``cache()`` caused pathological re-planning).
     """
     return df.localCheckpoint(eager=True)
 
@@ -65,13 +65,22 @@ def run_blocker(
 ) -> dict:
     """Run the full Blocker; returns every intermediate product.
 
+    Raises ``ValueError`` when a profile id occurs in both sources.
+
     Keys: profiles, tokens, attr_clusters, entropies, blocks_raw,
     blocks_purged, blocks, candidates (post-meta-blocking when enabled,
     else the post-filtering comparisons).
     """
     profiles = _mat(load_clean_clean(source_a, source_b))
+    n_profiles, n_pid_sources = profiles.agg(
+        F.countDistinct("pid"), F.countDistinct("pid", "source")
+    ).first()
+    if n_profiles != n_pid_sources:
+        raise ValueError(
+            f"{n_pid_sources - n_profiles} profile ids occur in both sources; "
+            "clean-clean ER needs ids that are unique across the sources"
+        )
     tokens = _mat(tokenize(profiles, min_len=cfg.token_min_len))
-    n_profiles = profiles.select("pid").distinct().count()
 
     attr_clusters = entropies = None
     if cfg.loose_schema:

@@ -55,8 +55,9 @@ def load_clean_clean(df_a: DataFrame, df_b: DataFrame, *, id_col: str = "id") ->
     """Union the two sources into one profile collection.
 
     Profile ids must already be globally unique across the sources (the
-    synthetic generator guarantees this); we verify cheaply via counts at
-    test time rather than here on every call.
+    synthetic generator guarantees this). This function does not check it;
+    ``repro.core.pipeline.run_blocker`` does, in the aggregation that
+    counts the profiles, and raises ``ValueError`` on a collision.
     """
     return to_profiles(df_a, source=1, id_col=id_col).unionByName(
         to_profiles(df_b, source=2, id_col=id_col)

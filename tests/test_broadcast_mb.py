@@ -1,4 +1,6 @@
 """Equivalence tests: broadcast meta-blocking (paper §2.1) vs Catalyst."""
+import functools
+
 import pytest
 
 from repro.core.broadcast_mb import (
@@ -113,3 +115,22 @@ class TestThreshold:
 def test_requires_entropies(spark, toy_blocks):
     with pytest.raises(ValueError):
         meta_blocking_broadcast(spark, toy_blocks, use_entropy=True)
+
+
+@pytest.mark.parametrize("impl", ["catalyst", "broadcast"])
+@pytest.mark.parametrize("bad", [{"scheme": "nope"}, {"pruning": "nope"}], ids=["scheme", "pruning"])
+@pytest.mark.parametrize("empty", [False, True], ids=["toy", "empty"])
+def test_unknown_options_rejected_before_any_job(spark, toy_blocks, impl, bad, empty):
+    """A bad scheme or pruning raises ValueError on the driver, before any
+    Spark job, also when there are no blocks at all."""
+    sc = spark.sparkContext
+    blocks = toy_blocks.limit(0) if empty else toy_blocks
+    run = meta_blocking if impl == "catalyst" else functools.partial(meta_blocking_broadcast, spark)
+    group = f"bad-options-{impl}-{'-'.join(bad)}-{empty}"
+    sc.setJobGroup(group, "unknown meta-blocking options")
+    try:
+        with pytest.raises(ValueError, match="unknown"):
+            run(blocks, **bad)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []

@@ -164,10 +164,3 @@ class TestSparkLift:
         assert a.count() == len(ds.source_a)
         assert b.count() == len(ds.source_b)
         assert gt.count() == len(ds.ground_truth)
-
-    def test_er_products_wrapper(self, spark):
-        from repro import synth_data
-
-        a, b, gt = synth_data.er_products(spark, n_entities=30, seed=1)
-        assert {"id", "name", "description", "price"} == set(a.columns)
-        assert gt.count() > 0

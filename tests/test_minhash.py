@@ -1,7 +1,7 @@
 """Tests for the MinHash/LSH substrate."""
 import itertools
 
-import pandas as pd
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
@@ -74,56 +74,89 @@ class TestSignatures:
         assert n > 200  # 256 hash ids, near-all distinct values
 
 
+@pytest.fixture(scope="module")
+def matrix(sigs):
+    """``(items, signature matrix)`` collected from ``sigs``."""
+    return minhash.signature_matrix(sigs, 256)
+
+
+def _rows(matrix, *names):
+    items = matrix[0]
+    return np.array([[items.index(a), items.index(b)] for a, b in names], np.int64)
+
+
+def _named_pairs(matrix, pairs):
+    items = matrix[0]
+    return {(items[i], items[j]) for i, j in pairs.tolist()}
+
+
+class TestSignatureMatrix:
+    def test_rows_in_name_order(self, matrix, word_sets):
+        items, sig = matrix
+        assert items == sorted(word_sets)
+        assert sig.shape == (len(word_sets), 256) and sig.dtype == np.int64
+
+    def test_matches_signature_rows(self, matrix, sigs):
+        items, sig = matrix
+        for r in sigs.collect():
+            assert sig[items.index(r["item"]), r["hash_id"]] == r["min_hash"]
+
+
 class TestEstimation:
-    def test_estimates_track_exact(self, sigs, spark, word_sets):
+    def test_estimates_track_exact(self, matrix, word_sets):
         exact = _exact_jaccard(word_sets)
-        pairs = spark.createDataFrame(list(exact), ["item1", "item2"])
-        est = {
-            (r["item1"], r["item2"]): r["sim"]
-            for r in minhash.estimated_similarity(sigs, pairs).collect()
-        }
-        for pair, j in exact.items():
-            assert est[pair] == pytest.approx(j, abs=0.09), pair
+        est = minhash.estimated_similarity(matrix[1], _rows(matrix, *exact))
+        for (pair, j), e in zip(exact.items(), est):
+            assert e == pytest.approx(j, abs=0.09), pair
 
-    def test_identical_estimates_one(self, sigs, spark):
-        pairs = spark.createDataFrame([("high_a", "identical")], ["item1", "item2"])
-        [row] = minhash.estimated_similarity(sigs, pairs).collect()
-        assert row["sim"] == 1.0
+    def test_identical_estimates_one(self, matrix):
+        [sim] = minhash.estimated_similarity(matrix[1], _rows(matrix, ("high_a", "identical")))
+        assert sim == 1.0
 
-    def test_disjoint_estimates_zero(self, sigs, spark):
-        pairs = spark.createDataFrame([("disjoint", "high_a")], ["item1", "item2"])
-        [row] = minhash.estimated_similarity(sigs, pairs).collect()
-        assert row["sim"] < 0.05
+    def test_disjoint_estimates_zero(self, matrix):
+        [sim] = minhash.estimated_similarity(matrix[1], _rows(matrix, ("disjoint", "high_a")))
+        assert sim < 0.05
 
 
 class TestBanding:
-    def test_bucket_count(self, sigs, word_sets):
-        buckets = minhash.band_buckets(sigs, rows_per_band=2)
-        assert buckets.count() == len(word_sets) * 128  # 256/2 bands
+    def test_bucket_count(self, matrix, word_sets):
+        keys = minhash.band_keys(matrix[1], rows_per_band=2)
+        assert keys.shape == (len(word_sets), 128)  # 256/2 bands
 
-    def test_similar_pairs_proposed(self, sigs):
-        pairs = {
-            tuple(sorted((r["item1"], r["item2"])))
-            for r in minhash.candidate_pairs(
-                minhash.band_buckets(sigs, rows_per_band=2)
-            ).collect()
-        }
+    def test_short_last_band(self, matrix, word_sets):
+        keys = minhash.band_keys(matrix[1], rows_per_band=3)
+        assert keys.shape == (len(word_sets), 86)  # 85 full bands + 1 hash
+
+    def test_bucket_ids_follow_band_equality(self, matrix):
+        sig = matrix[1]
+        keys = minhash.band_keys(sig, rows_per_band=2)
+        for i, j in itertools.combinations(range(len(sig)), 2):
+            for b in range(keys.shape[1]):
+                same = (sig[i, 2 * b:2 * b + 2] == sig[j, 2 * b:2 * b + 2]).all()
+                assert (keys[i, b] == keys[j, b]) == same
+
+    def test_similar_pairs_proposed(self, matrix):
+        keys = minhash.band_keys(matrix[1], rows_per_band=2)
+        pairs = _named_pairs(matrix, minhash.banded_pairs(keys))
         assert ("high_a", "high_b") in pairs
         assert ("high_a", "identical") in pairs
 
-    def test_disjoint_pairs_not_proposed(self, sigs):
-        pairs = {
-            tuple(sorted((r["item1"], r["item2"])))
-            for r in minhash.candidate_pairs(
-                minhash.band_buckets(sigs, rows_per_band=4)
-            ).collect()
-        }
+    def test_disjoint_pairs_not_proposed(self, matrix):
+        keys = minhash.band_keys(matrix[1], rows_per_band=4)
+        pairs = _named_pairs(matrix, minhash.banded_pairs(keys))
         assert all("disjoint" not in p for p in pairs)
 
-    def test_pairs_are_ordered_and_distinct(self, sigs):
-        cands = minhash.candidate_pairs(minhash.band_buckets(sigs))
-        assert cands.where(F.col("item1") >= F.col("item2")).count() == 0
-        assert cands.count() == cands.distinct().count()
+    def test_pairs_are_ordered_and_distinct(self, matrix):
+        pairs = minhash.banded_pairs(minhash.band_keys(matrix[1]))
+        assert len(pairs) > 0
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+
+    def test_no_items_no_pairs(self):
+        sig = np.zeros((0, 8), np.int64)
+        keys = minhash.band_keys(sig)
+        assert keys.shape == (0, 4)
+        assert minhash.banded_pairs(keys).shape == (0, 2)
 
 
 class TestCoefficients:

@@ -1,14 +1,14 @@
-"""Oracle self-tests + TPC-H-lite generator checks.
+"""Oracle self-tests.
 
 The DuckDB oracle is the correctness net for every SQL-expressible stage;
 these tests pin its own behaviour (it must catch real mismatches) and
-keep the provided TPC-H-lite generators exercised.
+exercise it on a shuffle join over the synthetic Abt-Buy frames.
 """
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.data import er_synth
 from repro.oracle import assert_equivalent
 
 
@@ -37,45 +37,24 @@ class TestOracleSelf:
         assert_equivalent(df, "SELECT k FROM t", t=pdf)
 
 
-class TestTpchLite:
-    @pytest.fixture(scope="class")
-    def li(self, spark):
-        return synth_data.lineitem(spark, sf=0.001).localCheckpoint(eager=True)
-
-    @pytest.fixture(scope="class")
-    def orders(self, spark):
-        return synth_data.orders(spark, sf=0.001).localCheckpoint(eager=True)
-
-    def test_lineitem_row_count(self, li):
-        assert li.count() == 6000
-
-    def test_join_agg_oracle(self, spark, li, orders):
-        """A representative shuffle join + aggregate, checked via DuckDB."""
+class TestOracleOnJoin:
+    def test_join_agg_oracle(self, spark):
+        """A representative shuffle join + aggregate on the synthetic
+        Abt-Buy frames, checked via DuckDB."""
+        a, b, gt = er_synth.to_spark(spark, er_synth.generate(n_entities=100, seed=1))
         got = (
-            li.join(orders, li["l_orderkey"] == orders["o_orderkey"])
-            .groupBy("o_orderpriority")
+            gt.join(a, gt["p1"] == a["id"])
+            .join(b, gt["p2"] == b["id"])
+            .groupBy("manufacturer")
             .agg(
                 F.count(F.lit(1)).alias("n"),
-                F.round(F.sum("l_extendedprice"), 2).alias("total"),
+                F.round(F.sum(F.col("price") - F.col("cost")), 2).alias("gap"),
             )
         )
         sql = """
-            SELECT o_orderpriority, COUNT(*) AS n,
-                   ROUND(SUM(l_extendedprice), 2) AS total
-            FROM li JOIN orders ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
+            SELECT manufacturer, COUNT(*) AS n,
+                   ROUND(SUM(price - cost), 2) AS gap
+            FROM gt JOIN a ON p1 = a.id JOIN b ON p2 = b.id
+            GROUP BY manufacturer
         """
-        assert_equivalent(got, sql, li=li, orders=orders)
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100)
-        top = (
-            df.groupBy("k").count().orderBy(F.desc("count")).limit(1).collect()[0]
-        )
-        assert top["k"] == 1
-        assert top["count"] > 5000 / 100 * 3
-
-    def test_uniform_keys_flat(self, spark):
-        df = synth_data.uniform_keys(spark, n=5000, n_keys=10)
-        counts = [r["count"] for r in df.groupBy("k").count().collect()]
-        assert max(counts) < 2 * min(counts)
+        assert_equivalent(got, sql, a=a, b=b, gt=gt)

@@ -63,6 +63,14 @@ class TestBlockerOutputs:
         assert out["candidates"].count() > 0
 
 
+def test_pid_collision_across_sources_raises(spark):
+    """Both sources use id 1: the union would merge two profiles into one."""
+    a = spark.createDataFrame([(1, "sony tv"), (2, "canon camera")], ["id", "name"])
+    b = spark.createDataFrame([(1, "sony tv"), (3, "nikon camera")], ["id", "title"])
+    with pytest.raises(ValueError, match="1 profile ids occur in both sources"):
+        run_blocker(spark, a, b, BlockerConfig())
+
+
 class TestFullPipeline:
     def test_products_present(self, pipeline_out):
         for key in ("similarities", "matches", "clusters"):

@@ -6,10 +6,11 @@ assignment:
     key: str     -- the blocking key (token, or token ⧺ "_" ⧺ cluster id)
     cluster: int -- attribute cluster the key came from (0 = blob)
     pid: long, source: int
+    size: long   -- distinct profiles in the block; filtering drops it
 
 Blocks that cannot generate a clean-clean comparison (fewer than two
 profiles, or all profiles from one source) are dropped eagerly — they can
-never contribute a candidate pair.
+never contribute a candidate pair. That aggregation also yields ``size``.
 """
 from __future__ import annotations
 
@@ -20,15 +21,16 @@ from repro.looseschema.partitioning import BLOB_CLUSTER
 
 
 def _prune_useless(blocks: DataFrame, *, clean_clean: bool = True) -> DataFrame:
-    """Drop blocks that cannot produce any (cross-source) comparison."""
+    """Drop blocks that cannot produce any (cross-source) comparison and
+    attach the ``size`` of the blocks that stay."""
     stats = blocks.groupBy("key").agg(
-        F.countDistinct("pid").alias("sz"),
+        F.countDistinct("pid").alias("size"),
         F.countDistinct("source").alias("n_sources"),
     )
-    cond = F.col("sz") >= 2
+    cond = F.col("size") >= 2
     if clean_clean:
         cond = cond & (F.col("n_sources") == 2)
-    return blocks.join(stats.where(cond).select("key"), "key")
+    return blocks.join(stats.where(cond).select("key", "size"), "key")
 
 
 def token_blocking(tokens: DataFrame, *, clean_clean: bool = True) -> DataFrame:

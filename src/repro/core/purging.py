@@ -5,13 +5,13 @@ Discards oversized blocks corresponding to highly frequent blocking keys
 in the collection (paper default: one half) is removed wholesale. Purging
 trades a negligible amount of recall — a pair co-occurring *only* under a
 stop word was never a credible candidate — for a large cut in comparisons.
+It filters rows on blocking's ``size`` column; as it removes whole blocks,
+the sizes it leaves stay exact for filtering.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-from repro.core.blocking import block_sizes
 
 
 def purge_blocks(
@@ -28,6 +28,4 @@ def purge_blocks(
     """
     if not 0 < max_frac <= 1:
         raise ValueError(f"max_frac must be in (0, 1], got {max_frac}")
-    limit = max_frac * num_profiles
-    keep = block_sizes(blocks).where(F.col("size") <= limit).select("key")
-    return blocks.join(keep, "key")
+    return blocks.where(F.col("size") <= max_frac * num_profiles)

@@ -33,6 +33,6 @@ def tokenize(profiles: DataFrame, *, min_len: int = 2) -> DataFrame:
 
 
 def profile_token_sets(tokens: DataFrame) -> DataFrame:
-    """Distinct ``(pid, source, token)`` — the attribute-agnostic view used
-    by schema-agnostic blocking and by the Jaccard matcher."""
+    """Distinct ``(pid, source, token)`` — the attribute-agnostic view of
+    each profile, used by the debug sampler's token overlap."""
     return tokens.select("pid", "source", "token").distinct()

@@ -49,14 +49,17 @@ def _norm_pairs(pairs: DataFrame) -> DataFrame:
 
 
 def pair_metrics(pairs: DataFrame, ground_truth: DataFrame) -> PairMetrics:
-    """Score candidate/match pairs against the ground truth."""
-    p = _norm_pairs(pairs)
-    gt = _norm_pairs(ground_truth)
-    return PairMetrics(
-        n_pairs=p.count(),
-        n_gt=gt.count(),
-        n_true=p.join(gt, ["p1", "p2"]).count(),
+    """Score candidate/match pairs against the ground truth, in one action
+    over a full outer join of the distinct pair sets (null ids never match)."""
+    p = _norm_pairs(pairs).withColumn("in_p", F.lit(1))
+    gt = _norm_pairs(ground_truth).withColumn("in_gt", F.lit(1))
+    both = F.col("in_p") + F.col("in_gt")  # null unless the pair is on both sides
+    n_pairs, n_gt, n_true = (
+        p.join(gt, ["p1", "p2"], "full_outer")
+        .agg(F.count("in_p"), F.count("in_gt"), F.count(both))
+        .first()
     )
+    return PairMetrics(n_pairs=n_pairs, n_gt=n_gt, n_true=n_true)
 
 
 def lost_pairs(pairs: DataFrame, ground_truth: DataFrame) -> DataFrame:

@@ -6,6 +6,8 @@ random profiles; for each picked profile take k/2 profiles that *could*
 match it (high token overlap) and k/2 random profiles.
 
 Deterministic in ``seed`` (Spark-side randomness uses seeded functions).
+``F.rand`` runs over shuffled rows, whose order may differ between
+evaluations, so the sample is drawn once and returned materialized.
 """
 from __future__ import annotations
 
@@ -78,6 +80,7 @@ def debug_sample(
         .unionByName(randoms.withColumn("reason", F.lit("random")))
         .groupBy("pid")
         .agg(F.min("reason").alias("reason"))
+        .localCheckpoint(eager=True)
     )
 
 

@@ -1,4 +1,5 @@
 """Tests for the debug-evaluation layer (metrics + lost-pair drilldown)."""
+import pandas as pd
 import pytest
 
 from repro.debug.evaluation import (
@@ -48,6 +49,30 @@ class TestPairMetricsSpark:
         pairs = spark.createDataFrame([(1, 11, 0.9)], ["p1", "p2", "weight"])
         gt = spark.createDataFrame([(1, 11)], ["p1", "p2"])
         assert pair_metrics(pairs, gt).recall == 1.0
+
+
+def _pandas_recount(pairs, gt):
+    """(n_pairs, n_gt, n_true) over distinct pairs; a null id never matches."""
+    p = pd.DataFrame(pairs, columns=["p1", "p2"], dtype="float").drop_duplicates()
+    g = pd.DataFrame(gt, columns=["p1", "p2"], dtype="float").drop_duplicates()
+    return len(p), len(g), len(p.dropna().merge(g.dropna(), on=["p1", "p2"]))
+
+
+@pytest.mark.parametrize(
+    "pairs,gt",
+    [
+        ([(1, 11), (1, 11), (2, 12)], [(1, 11), (1, 11), (3, 13)]),
+        ([], [(1, 11), (2, 12)]),
+        ([(1, 11), (2, 12)], []),
+        ([(1, 11), (2, 12)], [(3, 13), (4, 14)]),
+        ([(None, 11), (None, 11), (1, 11), (2, None)], [(None, 11), (1, 11)]),
+    ],
+    ids=["duplicates", "empty-pairs", "empty-gt", "disjoint", "null-id"],
+)
+def test_pair_metrics_matches_pandas_recount(spark, pairs, gt):
+    schema = "p1 long, p2 long"
+    m = pair_metrics(spark.createDataFrame(pairs, schema), spark.createDataFrame(gt, schema))
+    assert (m.n_pairs, m.n_gt, m.n_true) == _pandas_recount(pairs, gt)
 
 
 class TestLostPairs:

@@ -9,6 +9,11 @@ from repro.core.purging import purge_blocks
 from repro.oracle import assert_equivalent
 
 
+def _with_sizes(blocks):
+    """Attach the ``size`` column that blocking gives its output."""
+    return blocks.join(block_sizes(blocks), "key")
+
+
 @pytest.fixture(scope="module")
 def handmade_blocks(spark):
     """A block collection with controlled sizes over 10 profiles.
@@ -23,7 +28,7 @@ def handmade_blocks(spark):
         rows.append(("mid", 0, pid, 1 if pid in (0, 1) else 2))
     for pid in [2, 8]:
         rows.append(("rare", 0, pid, 1 if pid == 2 else 2))
-    return spark.createDataFrame(rows, ["key", "cluster", "pid", "source"])
+    return _with_sizes(spark.createDataFrame(rows, ["key", "cluster", "pid", "source"]))
 
 
 class TestPurging:
@@ -82,7 +87,7 @@ class TestFiltering:
             rows.append((key, 0, 0, 1))
             for j in range(size - 1):
                 rows.append((key, 0, 100 + i * 10 + j, 2))
-        return spark.createDataFrame(rows, ["key", "cluster", "pid", "source"])
+        return _with_sizes(spark.createDataFrame(rows, ["key", "cluster", "pid", "source"]))
 
     def test_drops_largest_fifth(self, skewed):
         filtered = filter_blocks(skewed, ratio=0.8)
@@ -140,3 +145,53 @@ class TestFiltering:
             SELECT key, pid FROM ranked WHERE rnk <= CEIL(n * 0.8)
         """
         assert_equivalent(got, sql, blocks=skewed)
+
+    def test_output_drops_size(self, skewed):
+        assert filter_blocks(skewed).columns == ["key", "cluster", "pid", "source"]
+
+
+class TestBlockStatsOnce:
+    """Blocking attaches ``size`` once; purging and filtering read it."""
+
+    def test_blocks_raw_size_matches_duckdb(self, blocker_out):
+        raw = blocker_out["blocks_raw"]
+        sql = "SELECT key, COUNT(DISTINCT pid) AS size FROM blocks GROUP BY key"
+        assert_equivalent(raw.select("key", "size").distinct(), sql, blocks=raw.select("key", "pid"))
+
+    def test_blocker_products_match_recomputed_sizes(self, blocker_out):
+        """The default Blocker's raw, purged and filtered blocks equal a
+        DuckDB pipeline that recomputes the block sizes before purging and
+        again before filtering."""
+        n = blocker_out["n_profiles"]
+        sql = f"""
+            WITH b AS (
+                SELECT DISTINCT token || '_' || CAST(cluster AS VARCHAR) AS key,
+                       cluster, pid, source
+                FROM tokens JOIN clusters USING (attribute)
+            ), raw AS (
+                SELECT * FROM b WHERE key IN (
+                    SELECT key FROM b GROUP BY key
+                    HAVING COUNT(DISTINCT pid) >= 2 AND COUNT(DISTINCT source) = 2
+                )
+            ), purged AS (
+                SELECT * FROM raw WHERE key IN (
+                    SELECT key FROM raw GROUP BY key
+                    HAVING COUNT(DISTINCT pid) <= CAST(0.5 AS DOUBLE) * {n}
+                )
+            ), ranked AS (
+                SELECT p.*,
+                       ROW_NUMBER() OVER (PARTITION BY pid ORDER BY s.size ASC, key ASC) AS rnk,
+                       COUNT(*) OVER (PARTITION BY pid) AS n
+                FROM purged p JOIN (
+                    SELECT key, COUNT(DISTINCT pid) AS size FROM purged GROUP BY key
+                ) s USING (key)
+            ), filtered AS (
+                SELECT key, cluster, pid, source FROM ranked
+                WHERE rnk <= CEIL(n * CAST(0.8 AS DOUBLE))
+            )
+            SELECT key, cluster, pid, source FROM {{stage}}
+        """
+        tables = {"tokens": blocker_out["tokens"], "clusters": blocker_out["attr_clusters"]}
+        for name, stage in [("blocks_raw", "raw"), ("blocks_purged", "purged"), ("blocks", "filtered")]:
+            got = blocker_out[name].select("key", "cluster", "pid", "source")
+            assert_equivalent(got, sql.format(stage=stage), **tables)

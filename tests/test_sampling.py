@@ -78,3 +78,24 @@ class TestRestrictToSample:
         )
         r = restrict_to_sample(pairs, sample, cols=("p1", "p2"))
         assert r.count() == 1
+
+
+def test_sample_is_drawn_once(spark, profiles, tokens):
+    """The returned sample is materialized: collecting it again gives the
+    same profiles and runs exactly one job, a scan of the stored rows.
+
+    The second collect goes through a new DataFrame over the sample, as
+    ``restrict_to_sample`` and ``toPandas`` callers build; re-collecting
+    the same object would reuse its finished shuffle stages either way.
+    """
+    s = debug_sample(profiles, tokens, big_k=10, small_k=4, seed=9)
+    first = sorted(map(tuple, s.collect()))
+    sc = spark.sparkContext
+    group = "debug-sample-second-collect"
+    sc.setJobGroup(group, "second collect of a drawn sample")
+    try:
+        second = sorted(map(tuple, s.select("pid", "reason").collect()))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert second == first
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1

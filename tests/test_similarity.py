@@ -153,3 +153,89 @@ class TestAddSimilarities:
             for r in j.groupBy("label").agg(F.avg("cosine").alias("m")).collect()
         }
         assert means[1] > means[0] + 0.3
+
+
+def _levenshtein(a: str, b: str) -> int:
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def _reference_features(tokens, profiles, pairs, name_attrs):
+    """Pure-Python (jaccard, cosine, lev_norm) per pair from collected rows;
+    pairs with a profile that has no token are left out."""
+    tf: dict[int, dict[str, int]] = {}
+    for pid, token in tokens[["pid", "token"]].itertuples(index=False):
+        tf.setdefault(pid, {}).setdefault(token, 0)
+        tf[pid][token] += 1
+    n = len(tf)
+    df: dict[str, int] = {}
+    for vec in tf.values():
+        for t in vec:
+            df[t] = df.get(t, 0) + 1
+    w = {p: {t: c * math.log(n / df[t]) for t, c in vec.items()} for p, vec in tf.items()}
+    norm = {p: math.sqrt(sum(x * x for x in vec.values())) for p, vec in w.items()}
+    names: dict[int, tuple[int, str]] = {}
+    for pid, attr, value in profiles[["pid", "attribute", "value"]].itertuples(index=False):
+        if attr in name_attrs:
+            cand = (name_attrs.index(attr), value.lower())
+            names[pid] = min(names.get(pid, cand), cand)
+    out = {}
+    for p1, p2 in pairs:
+        if p1 not in tf or p2 not in tf:
+            continue
+        shared = tf[p1].keys() & tf[p2].keys()
+        jac = len(shared) / len(tf[p1].keys() | tf[p2].keys())
+        cos = 0.0
+        if norm[p1] > 0 and norm[p2] > 0:
+            cos = sum(w[p1][t] * w[p2][t] for t in shared) / (norm[p1] * norm[p2])
+        lev = 0.0
+        if p1 in names and p2 in names:
+            s1, s2 = names[p1][1], names[p2][1]
+            lev = 1.0 - _levenshtein(s1, s2) / max(len(s1), len(s2))
+        out[(p1, p2)] = (jac, cos, lev)
+    return out
+
+
+class TestAgainstReference:
+    """The one-pass features on the test dataset's candidates, checked
+    against a pure-Python recomputation."""
+
+    NAME_ATTRS = ["1.name", "2.title"]
+
+    @pytest.fixture(scope="class")
+    def cand_pairs(self, pipeline_out):
+        return pipeline_out["candidates"].select("p1", "p2").distinct()
+
+    def test_features_match_reference(self, pipeline_out, cand_pairs):
+        pairs = [(r["p1"], r["p2"]) for r in cand_pairs.collect()]
+        ref = _reference_features(
+            pipeline_out["tokens"].toPandas(), pipeline_out["profiles"].toPandas(),
+            pairs, self.NAME_ATTRS,
+        )
+        got = {
+            (r["p1"], r["p2"]): (r["jaccard"], r["cosine"], r["lev_norm"])
+            for r in pipeline_out["similarities"].collect()
+        }
+        assert got.keys() == ref.keys()
+        assert len(got) > 100
+        for pair, (jac, cos, lev) in got.items():
+            rjac, rcos, rlev = ref[pair]
+            assert jac == rjac, pair
+            assert lev == rlev, pair
+            assert abs(cos - rcos) <= 1e-9, pair
+
+    def test_single_features_are_columns_of_add_similarities(
+        self, pipeline_out, cand_pairs
+    ):
+        sims = add_similarities(
+            cand_pairs, pipeline_out["tokens"], pipeline_out["profiles"],
+            name_attrs=self.NAME_ATTRS,
+        ).localCheckpoint(eager=True)
+        for fn, col in [(jaccard, "jaccard"), (cosine_tfidf, "cosine")]:
+            got = sorted(map(tuple, fn(cand_pairs, pipeline_out["tokens"]).collect()))
+            assert got == sorted(map(tuple, sims.select("p1", "p2", col).collect()))

@@ -1,24 +1,31 @@
-"""Shared session bootstrap for spark-submit entrypoints.
+"""Spark session settings shared by the spark-submit entrypoints and the
+test session (the root ``conftest.py``).
 
-Jobs run either under spark-submit (session config comes from the submit
-command) or standalone for convenience; in both cases the knobs that are
-honoured post-launch mirror conftest.py (shuffle partitions, Arrow,
-broadcast threshold).
+Only settings honoured after JVM launch live here: shuffle partitions
+(64, or ``SPARK_SHUFFLE_PARTITIONS``), Arrow, and auto-broadcast joins
+off, so joins exercise the shuffle path. Master and driver memory come
+from the spark-submit command or ``PYSPARK_SUBMIT_ARGS``.
 """
 import os
 
 from pyspark.sql import SparkSession
 
 
-def get_session(app: str) -> SparkSession:
+def configure(builder: SparkSession.Builder) -> SparkSession.Builder:
+    """``builder`` with the shared post-launch settings."""
     return (
-        SparkSession.builder.appName(app)
-        .config(
+        builder.config(
             "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+    )
+
+
+def get_session(app: str) -> SparkSession:
+    return (
+        configure(SparkSession.builder.appName(app))
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -33,7 +33,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.meta_blocking import PRUNINGS, check_options
-from repro.core.weights import weight_np
+from repro.core.weights import keep, weight_np
 
 
 def _build_index(blocks: DataFrame, entropies: DataFrame | None):
@@ -188,17 +188,13 @@ def meta_blocking_broadcast(
                 if len(w) == 0:
                     continue
                 if pruning == "wep":
-                    keep = w >= global_t
+                    t1 = t2 = global_t
                 else:
-                    t1 = t[node]
-                    t2 = np.array([t[p] for p in nbrs])
-                    if pruning == "blast":
-                        keep = w >= (t1 + t2) / 2
-                    else:  # wnp, cnp
-                        keep = (w >= t1) | (w >= t2)
-                p1s.extend([node] * int(keep.sum()))
-                p2s.extend(nbrs[keep].tolist())
-                ws.extend(w[keep].tolist())
+                    t1, t2 = t[node], np.array([t[p] for p in nbrs])
+                kept = keep(pruning, w, t1, t2)
+                p1s.extend([node] * int(kept.sum()))
+                p2s.extend(nbrs[kept].tolist())
+                ws.extend(w[kept].tolist())
             yield pd.DataFrame({"p1": pd.Series(p1s, dtype="int64"),
                                 "p2": pd.Series(p2s, dtype="int64"),
                                 "weight": pd.Series(ws, dtype="float64")})

@@ -1,9 +1,12 @@
 """Entity Clusterer (SparkER §2.2, Figure 5).
 
 Receives the similarity graph (matching pairs as edges) and partitions
-profiles into equivalence clusters under the transitivity assumption,
-using the connected-components substrate (the paper uses GraphX's
-connected components; see DESIGN.md for the substitution).
+profiles into equivalence clusters under the transitivity assumption.
+The paper uses GraphX's connected components; here the distinct match
+pairs are collected in one job and their components come from the
+driver-side union-find in ``repro.graph.connected_components`` (see
+DESIGN.md for the substitution). The driver holds two int64 per match
+edge, and matches are a subset of the meta-blocking candidates.
 
 Output: ``(pid, entity)`` — every profile that appears in some matching
 pair, labeled with its entity id (the minimum pid of its component).
@@ -12,6 +15,8 @@ with edge-list connected components in GraphX.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -19,9 +24,21 @@ from repro.graph.connected_components import connected_components
 
 
 def cluster_entities(matches: DataFrame) -> DataFrame:
-    """``matches`` needs columns (p1, p2); returns ``(pid, entity)``."""
-    comp = connected_components(matches, src="p1", dst="p2")
-    return comp.select(F.col("node").alias("pid"), F.col("component").alias("entity"))
+    """``matches`` needs columns (p1, p2); returns ``(pid long, entity
+    long)``. A pair with a null endpoint is ignored."""
+    edges = (
+        matches.select(F.col("p1").cast("long"), F.col("p2").cast("long"))
+        .dropna()
+        .distinct()
+        .toPandas()
+    )
+    # Compact pids to rows 0..n-1 in pid order, so the smallest row of a
+    # component is its smallest pid.
+    pids, rows = np.unique(edges.to_numpy(np.int64).ravel(), return_inverse=True)
+    root = connected_components(len(pids), rows[0::2], rows[1::2])
+    return matches.sparkSession.createDataFrame(
+        pd.DataFrame({"pid": pids, "entity": pids[root]}), "pid long, entity long"
+    )
 
 
 def entity_pairs(clusters: DataFrame) -> DataFrame:

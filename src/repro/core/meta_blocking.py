@@ -9,10 +9,11 @@ re-weighted by attribute-cluster entropy (Blast), then pruned:
     blast  node-local: t_p = c * max of p's edge weights; keep w >= (t1+t2)/2
     cnp    node-local: t_p = k-th largest of p's weights; keep-if-either
 
-All node-local strategies share one shape — a per-node threshold plus a
-combine rule — which is also exactly how the broadcast implementation
-(`repro.core.broadcast_mb`) computes them, so the two implementations can
-be tested for equality.
+Every strategy has one shape — thresholds for the two endpoints plus the
+combine rule ``weights.keep`` (which allows a relative float slack of
+``weights.REL_TOL``) — and the broadcast implementation
+(`repro.core.broadcast_mb`) applies the same rule, so the two
+implementations can be tested for equality.
 
 The paper implements this stage over RDDs with a broadcast-join-inspired
 scheme; here the primary implementation is native Catalyst (self-join on
@@ -23,7 +24,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.weights import SCHEMES, weight_col
+from repro.core.weights import SCHEMES, keep, weight_col
 
 PRUNINGS = ("wep", "wnp", "blast", "cnp")
 
@@ -119,22 +120,17 @@ def prune(
 ) -> DataFrame:
     """Apply the pruning strategy; returns retained ``(p1, p2, weight)``."""
     if pruning == "wep":
-        mean = edges.agg(F.avg("weight").alias("t"))
-        return (
-            edges.crossJoin(mean)
-            .where(F.col("weight") >= F.col("t"))
-            .select("p1", "p2", "weight")
+        t = edges.agg(F.avg("weight").alias("t1")).withColumn("t2", F.col("t1"))
+        joined = edges.crossJoin(t)
+    else:
+        t = _node_thresholds(edges, pruning=pruning, blast_c=blast_c, cnp_k=cnp_k)
+        joined = (
+            edges.join(t.select(F.col("node").alias("p1"), F.col("t").alias("t1")), "p1")
+            .join(t.select(F.col("node").alias("p2"), F.col("t").alias("t2")), "p2")
         )
-    t = _node_thresholds(edges, pruning=pruning, blast_c=blast_c, cnp_k=cnp_k)
-    joined = (
-        edges.join(t.select(F.col("node").alias("p1"), F.col("t").alias("t1")), "p1")
-        .join(t.select(F.col("node").alias("p2"), F.col("t").alias("t2")), "p2")
-    )
-    if pruning == "blast":
-        cond = F.col("weight") >= (F.col("t1") + F.col("t2")) / 2
-    else:  # wnp, cnp: redundancy-positive, keep if either endpoint keeps it
-        cond = (F.col("weight") >= F.col("t1")) | (F.col("weight") >= F.col("t2"))
-    return joined.where(cond).select("p1", "p2", "weight")
+    return joined.where(
+        keep(pruning, F.col("weight"), F.col("t1"), F.col("t2"))
+    ).select("p1", "p2", "weight")
 
 
 def meta_blocking(

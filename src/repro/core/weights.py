@@ -15,6 +15,9 @@ and a scheme maps them to a weight:
 
 With ``use_entropy`` the weight is multiplied by ``ent`` (Blast, Fig. 2c).
 
+:func:`keep` is the one pruning keep rule both meta-blocking
+implementations apply to an edge, given its endpoints' thresholds.
+
 Two synchronized implementations live here: Spark Column expressions (for
 the DataFrame meta-blocking) and a numpy version (for the broadcast
 implementation and for test oracles). Tests assert they agree.
@@ -26,6 +29,10 @@ from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 SCHEMES = ("cbs", "js", "chi2")
+# Relative slack of the keep rule. A threshold that is a mean of equal
+# weights can round up past them (three edges of 0.1 give
+# t = 0.10000000000000002), and Spark and numpy sum in different orders.
+REL_TOL = 1e-9
 
 
 def weight_col(
@@ -81,3 +88,17 @@ def weight_np(
     if ent is not None:
         w = w * np.asarray(ent, dtype=np.float64)
     return w
+
+
+def keep(pruning: str, w, t1, t2):
+    """Whether pruning keeps an edge of weight ``w`` whose endpoints have
+    thresholds ``t1`` and ``t2`` (WEP: both the global mean).
+
+    BLAST keeps ``w >= (t1 + t2) / 2``; WEP, WNP and CNP keep an edge
+    that clears either threshold. Weights and thresholds are >= 0, so
+    the same expression serves Spark Columns and numpy arrays.
+    """
+    lo = 1 - REL_TOL
+    if pruning == "blast":
+        return w >= (t1 + t2) / 2 * lo
+    return (w >= t1 * lo) | (w >= t2 * lo)

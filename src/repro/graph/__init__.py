@@ -1,1 +1,1 @@
-"""Graph substrate: connected components over DataFrame edge lists (GraphX substitute)."""
+"""Graph substrate: driver-side connected components (GraphX substitute)."""

@@ -1,74 +1,39 @@
-"""Connected components over a DataFrame edge list (GraphX substitute).
+"""Connected components by union-find on the driver (GraphX substitute).
 
-SparkER's entity clusterer uses Spark GraphX's connected components, which
-is Scala-only and unavailable from PySpark here. This substrate implements
-the same fixpoint with iterative minimum-label propagation expressed in the
-DataFrame API:
+SparkER's Entity Clusterer takes GraphX's connected components of the
+match graph, and attribute partitioning takes the transitive closure of
+its best-partner pairs. Both call this one union-find over edges already
+collected to the driver, so no round count depends on the graph's
+diameter.
 
-    label(v) <- min(label(v), min over neighbours u of label(u))
-
-iterated until no label changes. Convergence takes O(diameter) rounds;
-match graphs (near-cliques of duplicate profiles) have tiny diameters, and
-a ``max_iter`` cap plus ``localCheckpoint`` lineage cuts keep the loop safe
-for adversarial chains.
+Driver bound: two int64 per edge. The match graph is the largest input,
+and matches are a subset of the meta-blocking candidates: 1.16 M
+candidate pairs at 10 320 profiles are ≈19 MB, and the pure-Python loop
+takes ≈0.9 s for as many random edges (≈2 s for 10⁶ rows and 10⁶ edges)
+on one core of a 4-core x86 host.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import numpy as np
 
 
-def connected_components(
-    edges: DataFrame,
-    *,
-    src: str = "src",
-    dst: str = "dst",
-    max_iter: int = 50,
-) -> DataFrame:
-    """Return ``(node, component)`` where ``component`` is the minimum node
-    id reachable from ``node``. Isolated endpoints of self-loops are fine;
-    nodes absent from ``edges`` simply do not appear in the output.
+def connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each row's root for the undirected edges ``(src, dst)`` over rows
+    ``0..n-1``: the smallest row of its component. A row in no edge is
+    its own root.
+
+    Union by minimum root with path halving, so every root is the
+    smallest row of its component at every step.
     """
-    e = (
-        edges.select(F.col(src).cast("long").alias("a"), F.col(dst).cast("long").alias("b"))
-        .where(F.col("a").isNotNull() & F.col("b").isNotNull())
-        .distinct()
-    )
-    # Symmetrize once; propagation then only needs one join direction.
-    sym = e.unionByName(e.select(F.col("b").alias("a"), F.col("a").alias("b"))).distinct()
-    sym = sym.localCheckpoint(eager=True)
+    root = list(range(n))
 
-    labels = (
-        sym.select(F.col("a").alias("node"))
-        .distinct()
-        .withColumn("component", F.col("node"))
-        .localCheckpoint(eager=True)
-    )
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
 
-    for _ in range(max_iter):
-        # Minimum label among each node's neighbours.
-        msgs = (
-            sym.join(labels, sym["b"] == labels["node"])
-            .groupBy(sym["a"].alias("node"))
-            .agg(F.min("component").alias("nbr_min"))
-        )
-        new_labels = (
-            labels.join(msgs, "node", "left")
-            .select(
-                "node",
-                F.least("component", F.coalesce("nbr_min", "component")).alias("component"),
-                (F.col("component") != F.least("component", F.coalesce("nbr_min", "component"))).alias(
-                    "changed"
-                ),
-            )
-        ).localCheckpoint(eager=True)
-        n_changed = new_labels.where("changed").count()
-        labels = new_labels.drop("changed")
-        if n_changed == 0:
-            break
-    else:
-        raise RuntimeError(
-            f"connected_components did not converge in {max_iter} iterations "
-            "(graph diameter exceeds max_iter)"
-        )
-    return labels
+    for a, b in zip(src.tolist(), dst.tolist()):
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    return np.array([find(v) for v in range(n)], np.int64)

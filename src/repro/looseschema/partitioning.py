@@ -8,7 +8,8 @@ Pipeline, as described in the paper:
    attribute only the most similar partner is kept** (if it clears the
    threshold), yielding attribute pairs.
 3. The transitive closure of those pairs partitions attributes into
-   non-overlapping clusters.
+   non-overlapping clusters (``repro.graph.connected_components``, the
+   union-find the Entity Clusterer uses too).
 4. Attributes in no cluster fall into the **blob** partition, cluster 0.
 
 Only the MinHash signatures are computed in Spark. Steps 1-3 work on one
@@ -24,6 +25,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.graph.connected_components import connected_components
 from repro.looseschema import minhash
 
 BLOB_CLUSTER = 0
@@ -56,21 +58,10 @@ def closure(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     Returns each row's cluster: 1..k ordered by the cluster's smallest row,
     and ``BLOB_CLUSTER`` for rows in no pair.
     """
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for a, b in zip(src.tolist(), dst.tolist()):
-        ra, rb = find(a), find(b)
-        root[max(ra, rb)] = min(ra, rb)  # a root is its cluster's smallest row
+    root = connected_components(n, src, dst)
     linked = np.unique(np.r_[src, dst])
-    roots = np.array([find(v) for v in linked.tolist()], np.int64)
     cluster = np.full(n, BLOB_CLUSTER, np.int64)
-    cluster[linked] = np.unique(roots, return_inverse=True)[1] + 1
+    cluster[linked] = np.unique(root[linked], return_inverse=True)[1] + 1
     return cluster
 
 

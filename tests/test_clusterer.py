@@ -1,7 +1,20 @@
 """Tests for the Entity Clusterer (Figure 5)."""
-import pytest
+import networkx as nx
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.clusterer import cluster_entities, entity_pairs
+
+
+def _nx_entities(edges) -> dict[int, int]:
+    """networkx oracle: each pid in some edge -> min pid of its component."""
+    g = nx.Graph()
+    g.add_edges_from(edges)
+    return {v: min(c) for c in nx.connected_components(g) for v in c}
+
+
+def _entities(clusters) -> dict[int, int]:
+    return {r["pid"]: r["entity"] for r in clusters.collect()}
 
 
 def _clusters(spark, matches):
@@ -36,6 +49,38 @@ class TestClusterEntities:
         out = cluster_entities(spark.createDataFrame([(1, 2)], ["p1", "p2"]))
         assert {r["pid"] for r in out.collect()} == {1, 2}
 
+    def test_long_path(self, spark):
+        """A 10⁴-node path: the diameter does not bound the answer."""
+        n = 10_000
+        df = spark.createDataFrame([(i, i + 1) for i in range(n - 1)], "p1 long, p2 long")
+        got = _entities(cluster_entities(df))
+        assert len(got) == n and set(got.values()) == {0}
+
+    def test_null_endpoint_contributes_nothing(self, spark):
+        df = spark.createDataFrame([(1, 2), (2, None), (None, 3), (None, None)], "p1 long, p2 long")
+        assert _entities(cluster_entities(df)) == {1: 1, 2: 1}
+
+    def test_output_schema(self, spark):
+        for rows in ([(1, 2)], []):
+            out = cluster_entities(spark.createDataFrame(rows, "p1 int, p2 int"))
+            assert out.schema.simpleString() == "struct<pid:bigint,entity:bigint>"
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 10**12), st.integers(0, 10**12))
+            | st.tuples(st.integers(0, 30), st.integers(0, 30)),
+            max_size=40,
+        )
+    )
+    def test_matches_networkx(self, spark, edges):
+        df = spark.createDataFrame(edges, "p1 long, p2 long")
+        assert _entities(cluster_entities(df)) == _nx_entities(edges)
+
 
 class TestEntityPairs:
     def test_pairs_of_triple(self, spark):
@@ -55,6 +100,21 @@ class TestOnDataset:
             pipeline_out["matches"].select("p1").union(pipeline_out["matches"].select("p2"))
         ).distinct()
         assert pipeline_out["clusters"].count() == matched.count()
+
+    def test_clusters_equal_networkx_on_matches(self, pipeline_out):
+        matches = [(r["p1"], r["p2"]) for r in pipeline_out["matches"].collect()]
+        assert _entities(pipeline_out["clusters"]) == _nx_entities(matches)
+
+    def test_runs_at_most_three_jobs(self, spark, pipeline_out):
+        """One collect of the distinct matches, not a job per round."""
+        sc = spark.sparkContext
+        group = "cluster-entities-jobs"
+        sc.setJobGroup(group, "cluster the dataset's matches")
+        try:
+            cluster_entities(pipeline_out["matches"])
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert 1 <= len(sc.statusTracker().getJobIdsForGroup(group)) <= 3
 
     def test_cluster_quality(self, pipeline_out, er):
         from repro.debug.evaluation import cluster_pair_metrics

@@ -1,14 +1,16 @@
-"""Tests for the connected-components substrate (GraphX substitute)."""
+"""Tests for the connected-components substrate (GraphX substitute): the
+driver-side union-find, and the clusterer that runs it on a match graph."""
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.clusterer import cluster_entities
 from repro.graph.connected_components import connected_components
 
 
 def _union_find(edges: list[tuple[int, int]]) -> dict[int, int]:
-    """Driver-side oracle: component = min node id, via union-find."""
+    """Independent oracle: component = min node id, via union-find."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -25,9 +27,28 @@ def _union_find(edges: list[tuple[int, int]]) -> dict[int, int]:
     return {n: find(n) for n in parent}
 
 
-def _cc(spark, edges: list[tuple[int, int]], **kw) -> dict[int, int]:
-    df = spark.createDataFrame(edges, ["src", "dst"])
-    return {r["node"]: r["component"] for r in connected_components(df, **kw).collect()}
+def _cc(spark, edges: list[tuple[int, int]]) -> dict[int, int]:
+    df = spark.createDataFrame(edges, "p1 long, p2 long")
+    return {r["pid"]: r["entity"] for r in cluster_entities(df).collect()}
+
+
+def _roots(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    src, dst = np.array(edges, np.int64).reshape(-1, 2).T
+    return connected_components(n, src, dst).tolist()
+
+
+class TestUnionFind:
+    def test_no_rows(self):
+        assert _roots(0, []) == []
+
+    def test_isolated_rows_are_their_own_root(self):
+        assert _roots(5, [(3, 1)]) == [0, 1, 2, 1, 4]
+
+    def test_self_loop(self):
+        assert _roots(3, [(2, 2)]) == [0, 1, 2]
+
+    def test_root_is_smallest_row(self):
+        assert _roots(6, [(5, 4), (4, 2), (3, 0), (1, 3)]) == [0, 0, 2, 0, 2, 2]
 
 
 class TestSmallGraphs:
@@ -62,8 +83,8 @@ class TestSmallGraphs:
         assert got == {1: 1, 2: 1}
 
     def test_empty_graph(self, spark):
-        df = spark.createDataFrame([], "src long, dst long")
-        assert connected_components(df).count() == 0
+        df = spark.createDataFrame([], "p1 long, p2 long")
+        assert cluster_entities(df).count() == 0
 
     def test_component_label_is_min_member(self, spark):
         got = _cc(spark, [(42, 17), (17, 99), (3, 8)])
@@ -74,18 +95,8 @@ class TestSmallGraphs:
 class TestConvergence:
     def test_long_chain_converges(self, spark):
         n = 30
-        got = _cc(spark, [(i, i + 1) for i in range(n)], max_iter=40)
+        got = _cc(spark, [(i, i + 1) for i in range(n)])
         assert set(got.values()) == {0}
-
-    def test_max_iter_exceeded_raises(self, spark):
-        df = spark.createDataFrame([(i, i + 1) for i in range(10)], ["src", "dst"])
-        with pytest.raises(RuntimeError, match="did not converge"):
-            connected_components(df, max_iter=2)
-
-    def test_custom_column_names(self, spark):
-        df = spark.createDataFrame([(1, 2)], ["p1", "p2"])
-        got = {r["node"]: r["component"] for r in connected_components(df, src="p1", dst="p2").collect()}
-        assert got == {1: 1, 2: 1}
 
 
 class TestAgainstUnionFind:

@@ -148,6 +148,13 @@ class TestNodeLocalPruning:
         with pytest.raises(ValueError):
             prune(edges, pruning="nope")
 
+    def test_wnp_keeps_equal_weights_despite_rounding(self, spark):
+        """Every node of a 3x3 bipartite graph has three edges of 0.1, so
+        its mean rounds up to 0.10000000000000002; WNP must keep them all."""
+        rows = [(a, b, 0.1) for a in (1, 2, 3) for b in (11, 12, 13)]
+        edges = spark.createDataFrame(rows, ["p1", "p2", "weight"])
+        assert _kept(prune(edges, pruning="wnp")) == {(a, b) for a, b, _ in rows}
+
 
 class TestOnDataset:
     @pytest.mark.parametrize("pruning", ["wep", "wnp", "blast", "cnp"])

@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.meta_blocking import build_graph
-from repro.core.weights import weight_col, weight_np
+from repro.core.weights import REL_TOL, keep, weight_col, weight_np
 from repro.oracle import assert_equivalent
 
 
@@ -46,6 +46,25 @@ class TestNumpyFormulas:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             weight_np("nope", cbs=[1], b1=[1], b2=[1], n_blocks=1)
+
+
+class TestKeepRule:
+    def test_equal_weights_kept_although_mean_rounds_up(self):
+        w = np.full(3, 0.1)
+        t = w.mean()
+        assert t > 0.1  # 0.10000000000000002
+        assert keep("wnp", w, t, t).all()
+
+    def test_either_and_blast_rules(self):
+        w = np.array([1.0, 3.0, 5.0])
+        t1, t2 = np.array([2.0, 4.0, 6.0]), np.array([1.0, 5.0, 4.0])
+        assert keep("wnp", w, t1, t2).tolist() == [True, False, True]
+        assert keep("blast", w, t1, t2).tolist() == [False, False, True]
+        assert keep("wep", w, 3.0, 3.0).tolist() == [False, True, True]
+
+    def test_slack_is_relative(self):
+        assert keep("wnp", np.array([1.0 - REL_TOL / 2]), 1.0, 1.0).all()
+        assert not keep("wnp", np.array([1.0 - 2 * REL_TOL]), 1.0, 1.0).any()
 
 
 @pytest.mark.parametrize("scheme", ["cbs", "js", "chi2"])

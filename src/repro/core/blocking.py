@@ -20,20 +20,18 @@ from pyspark.sql import functions as F
 from repro.looseschema.partitioning import BLOB_CLUSTER
 
 
-def _prune_useless(blocks: DataFrame, *, clean_clean: bool = True) -> DataFrame:
-    """Drop blocks that cannot produce any (cross-source) comparison and
+def _prune_useless(blocks: DataFrame) -> DataFrame:
+    """Drop blocks that cannot produce any cross-source comparison and
     attach the ``size`` of the blocks that stay."""
     stats = blocks.groupBy("key").agg(
         F.countDistinct("pid").alias("size"),
         F.countDistinct("source").alias("n_sources"),
     )
-    cond = F.col("size") >= 2
-    if clean_clean:
-        cond = cond & (F.col("n_sources") == 2)
-    return blocks.join(stats.where(cond).select("key", "size"), "key")
+    kept = stats.where((F.col("size") >= 2) & (F.col("n_sources") == 2))
+    return blocks.join(kept.select("key", "size"), "key")
 
 
-def token_blocking(tokens: DataFrame, *, clean_clean: bool = True) -> DataFrame:
+def token_blocking(tokens: DataFrame) -> DataFrame:
     """Schema-agnostic token blocking (Figure 1b): key = token."""
     blocks = tokens.select(
         F.col("token").alias("key"),
@@ -41,15 +39,10 @@ def token_blocking(tokens: DataFrame, *, clean_clean: bool = True) -> DataFrame:
         "pid",
         "source",
     ).distinct()
-    return _prune_useless(blocks, clean_clean=clean_clean)
+    return _prune_useless(blocks)
 
 
-def loose_schema_blocking(
-    tokens: DataFrame,
-    attr_clusters: DataFrame,
-    *,
-    clean_clean: bool = True,
-) -> DataFrame:
+def loose_schema_blocking(tokens: DataFrame, attr_clusters: DataFrame) -> DataFrame:
     """Loose-schema blocking (Figure 2b): key = token ⧺ "_" ⧺ cluster id.
 
     The same token under attributes in different clusters yields distinct
@@ -66,7 +59,7 @@ def loose_schema_blocking(
         )
         .distinct()
     )
-    return _prune_useless(blocks, clean_clean=clean_clean)
+    return _prune_useless(blocks)
 
 
 def block_sizes(blocks: DataFrame) -> DataFrame:

@@ -7,107 +7,103 @@ needed to materialize the neighborhood of each node one at a time. Once
 the neighborhood of a node is materialized, the pruning function is
 applied."*
 
-This module is a faithful PySpark port of that scheme (the one deliberate
-non-Catalyst code path in this reproduction — see DESIGN.md "Layering"):
+This module is a faithful PySpark port of that scheme (DESIGN.md "Layering"):
 
-1. a compact block index (block → profile arrays, profile → block ids,
-   per-block entropy) is built once and ``sc.broadcast`` to every executor;
-2. the graph's *nodes* are a DataFrame, partitioned by Spark; inside
-   ``mapInPandas`` each partition materializes one node neighborhood at a
-   time from the broadcast index and computes its edge weights with the
-   same numpy formulas the Catalyst implementation uses (`weights.weight_np`);
-3. node-local pruning needs both endpoints' thresholds, so the scheme runs
-   two passes: pass A computes every node's threshold (broadcast back),
-   pass B re-materializes source-1 neighborhoods and applies the combined
-   pruning rule.
+1. the block assignments are collected once into an :class:`Index` over
+   compact node ids ``0..n-1`` (``np.unique`` of the pids) — CSR arrays
+   node → blocks and block → source-1 then source-2 members, one entropy
+   per block — and ``sc.broadcast`` to every executor;
+2. the graph's nodes are ``spark.range(n)``; inside ``mapInPandas`` each
+   partition materializes one node neighborhood at a time with array
+   slices of the index and weighs its edges with `weights.weight_np`;
+3. pass A emits ``(u, t, Σw, |w|)`` for every node, and the driver
+   broadcasts one dense threshold array back (WEP: the global mean
+   Σ(Σw) / Σ|w|, which counts each edge once from each end). Pass B
+   re-materializes the source-1 neighborhoods and applies
+   ``weights.keep`` to ``t[u]`` and ``t[nbrs]``.
 
 Results are tested to be identical to ``repro.core.meta_blocking``.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.meta_blocking import PRUNINGS, check_options
 from repro.core.weights import keep, weight_np
 
 
-def _build_index(blocks: DataFrame, entropies: DataFrame | None):
-    """Collect the broadcastable block index to the driver.
+class Index(NamedTuple):
+    """The broadcast block index. Node ``u``'s blocks are
+    ``node_blocks[node_ptr[u]:node_ptr[u + 1]]``; block ``k``'s source-1
+    members are ``members[block_ptr[k]:block_mid[k]]`` and its source-2
+    members ``members[block_mid[k]:block_ptr[k + 1]]``."""
 
-    Returns ``(block_s1, block_s2, block_ent, profile_blocks, b_count,
-    n_blocks)`` where blocks are densely re-numbered ints.
-    """
-    assignments = blocks.select("key", "cluster", "pid", "source").distinct()
-    pdf = assignments.toPandas()
-    keys = {k: i for i, k in enumerate(sorted(pdf["key"].unique()))}
-    pdf["bid"] = pdf["key"].map(keys)
+    pids: np.ndarray  # node -> pid
+    source: np.ndarray  # node -> 1 or 2
+    b: np.ndarray  # node -> number of its blocks, np.diff(node_ptr)
+    node_ptr: np.ndarray
+    node_blocks: np.ndarray
+    block_ptr: np.ndarray
+    block_mid: np.ndarray
+    members: np.ndarray
+    block_ent: np.ndarray  # block -> entropy of its cluster (1.0 without entropy)
 
-    ent_by_cluster: dict[int, float] = {}
+
+def _ptr(ids: np.ndarray, size: int) -> np.ndarray:
+    """CSR offsets of ``size`` groups, given each row's group id."""
+    return np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=size))))
+
+
+def _build_index(blocks: DataFrame, entropies: DataFrame | None) -> Index:
+    """Collect the block assignments and build the broadcast index."""
+    pdf = blocks.select("key", "cluster", "pid", "source").toPandas()
+    pdf = pdf.drop_duplicates().sort_values(["pid", "key"])
+    pids, node = np.unique(pdf["pid"].to_numpy(np.int64), return_inverse=True)
+    _, first, block = np.unique(pdf["key"].to_numpy(), return_index=True, return_inverse=True)
+    src = pdf["source"].to_numpy(np.int64)
+    ent = np.ones(len(pdf))
     if entropies is not None:
         epdf = entropies.select("cluster", "entropy_norm").toPandas()
-        ent_by_cluster = dict(zip(epdf["cluster"], epdf["entropy_norm"]))
-
-    n_blocks = len(keys)
-    block_s1: list[np.ndarray] = [None] * n_blocks
-    block_s2: list[np.ndarray] = [None] * n_blocks
-    block_ent = np.ones(n_blocks, dtype=np.float64)
-    for (bid, cluster), grp in pdf.groupby(["bid", "cluster"]):
-        block_s1[bid] = grp.loc[grp["source"] == 1, "pid"].to_numpy(np.int64)
-        block_s2[bid] = grp.loc[grp["source"] == 2, "pid"].to_numpy(np.int64)
-        block_ent[bid] = ent_by_cluster.get(cluster, 1.0)
-
-    profile_blocks: dict[int, np.ndarray] = {
-        pid: grp["bid"].to_numpy(np.int64) for pid, grp in pdf.groupby("pid")
-    }
-    b_count = {pid: len(bids) for pid, bids in profile_blocks.items()}
-    return block_s1, block_s2, block_ent, profile_blocks, b_count, n_blocks
+        ent = pdf["cluster"].map(dict(zip(epdf["cluster"], epdf["entropy_norm"])))
+        ent = ent.fillna(1.0).to_numpy(np.float64)
+    n, n_blocks = len(pids), len(first)
+    node_ptr, block_ptr = _ptr(node, n), _ptr(block, n_blocks)
+    block_mid = block_ptr[:-1] + np.bincount(block[src == 1], minlength=n_blocks)
+    # the rows are sorted by (pid, key), so `block` lists each node's blocks in order
+    return Index(pids, src[node_ptr[:-1]], np.diff(node_ptr), node_ptr, block,
+                 block_ptr, block_mid, node[np.lexsort((src, block))], ent[first])
 
 
-def _neighborhood(node: int, source: int, index, *, scheme: str, use_entropy: bool):
-    """Materialize one node's neighborhood: (neighbors, weights) arrays."""
-    block_s1, block_s2, block_ent, profile_blocks, b_count, n_blocks = index
-    other = block_s2 if source == 1 else block_s1
-    bids = profile_blocks.get(node)
-    if bids is None or len(bids) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    nbr_parts, ent_parts = [], []
-    for bid in bids:
-        arr = other[bid]
-        if arr is None or len(arr) == 0:
-            continue
-        nbr_parts.append(arr)
-        ent_parts.append(np.full(len(arr), block_ent[bid]))
-    if not nbr_parts:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    nbrs_all = np.concatenate(nbr_parts)
-    ents_all = np.concatenate(ent_parts)
-    order = np.argsort(nbrs_all, kind="stable")
-    nbrs_all, ents_all = nbrs_all[order], ents_all[order]
-    uniq, start, cbs = np.unique(nbrs_all, return_index=True, return_counts=True)
-    ent_mean = np.add.reduceat(ents_all, start) / cbs
-    b_self = np.full(len(uniq), b_count[node], dtype=np.float64)
-    b_other = np.array([b_count[p] for p in uniq], dtype=np.float64)
-    b1, b2 = (b_self, b_other) if source == 1 else (b_other, b_self)
-    w = weight_np(
-        scheme, cbs=cbs, b1=b1, b2=b2, n_blocks=n_blocks,
-        ent=ent_mean if use_entropy else None,
-    )
-    return uniq, w
+def _neighborhood(u: int, idx: Index, *, scheme: str, use_entropy: bool):
+    """Materialize node ``u``'s neighborhood: (neighbor nodes, weights)."""
+    bids = idx.node_blocks[idx.node_ptr[u]:idx.node_ptr[u + 1]]
+    if idx.source[u] == 1:
+        lo, hi = idx.block_mid[bids], idx.block_ptr[bids + 1]
+    else:
+        lo, hi = idx.block_ptr[bids], idx.block_mid[bids]
+    lens = hi - lo
+    # positions lo[i] .. hi[i] - 1 of every block i, concatenated
+    pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    nbrs, inv, cbs = np.unique(idx.members[pos], return_inverse=True, return_counts=True)
+    b1, b2 = (idx.b[u], idx.b[nbrs]) if idx.source[u] == 1 else (idx.b[nbrs], idx.b[u])
+    ent = np.bincount(inv, np.repeat(idx.block_ent[bids], lens)) / cbs if use_entropy else None
+    w = weight_np(scheme, cbs=cbs, b1=b1, b2=b2, n_blocks=len(idx.block_ent), ent=ent)
+    return nbrs, w
 
 
 def _threshold(weights: np.ndarray, *, pruning: str, blast_c: float, cnp_k: int) -> float:
-    if pruning == "wnp":
+    """A node's threshold from its edge weights. WEP's per-node mean is
+    not used: the driver replaces it by the global mean."""
+    if pruning in ("wep", "wnp"):
         return float(weights.mean())
     if pruning == "blast":
         return float(blast_c * weights.max())
     if pruning == "cnp":
-        ws = np.sort(weights)[::-1]
-        return float(ws[min(cnp_k, len(ws)) - 1])
+        return float(np.sort(weights)[-min(cnp_k, len(weights))])
     raise ValueError(f"unknown pruning {pruning!r}; pick one of {PRUNINGS}")
 
 
@@ -128,75 +124,37 @@ def meta_blocking_broadcast(
     if use_entropy and entropies is None:
         raise ValueError("use_entropy=True requires the entropies table")
 
-    index = _build_index(blocks, entropies if use_entropy else None)
     sc = spark.sparkContext
-    b_index = sc.broadcast(index)
-
-    nodes = (
-        blocks.select("pid", "source").distinct()
-        .select(F.col("pid").cast("long"), F.col("source").cast("int"))
-    )
+    b_index = sc.broadcast(_build_index(blocks, entropies if use_entropy else None))
+    n = len(b_index.value.pids)
+    nodes = spark.range(n)
+    mb = dict(scheme=scheme, use_entropy=use_entropy)
 
     def pass_a(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         idx = b_index.value
         for batch in batches:
-            out_node, out_t = [], []
-            for node, source in zip(batch["pid"], batch["source"]):
-                _, w = _neighborhood(
-                    int(node), int(source), idx, scheme=scheme, use_entropy=use_entropy
-                )
-                if len(w) == 0:
-                    continue
-                out_node.append(int(node))
-                out_t.append(_threshold(w, pruning=pruning, blast_c=blast_c, cnp_k=cnp_k))
-            yield pd.DataFrame({"node": pd.Series(out_node, dtype="int64"),
-                                "t": pd.Series(out_t, dtype="float64")})
+            ws = ((u, _neighborhood(u, idx, **mb)[1]) for u in batch["id"])
+            rows = [(u, _threshold(w, pruning=pruning, blast_c=blast_c, cnp_k=cnp_k),
+                     w.sum(), len(w)) for u, w in ws if len(w)]
+            yield pd.DataFrame(rows, columns=["u", "t", "s", "c"])
 
-    def pass_a_wep(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx = b_index.value
-        for batch in batches:
-            s, n = 0.0, 0
-            # source-1 nodes only, so every edge is counted exactly once
-            for node in batch.loc[batch["source"] == 1, "pid"]:
-                _, w = _neighborhood(int(node), 1, idx, scheme=scheme, use_entropy=use_entropy)
-                s += float(w.sum())
-                n += len(w)
-            yield pd.DataFrame({"s": [s], "n": [n]})
-
-    if pruning == "wep":
-        agg = (
-            nodes.mapInPandas(pass_a_wep, "s double, n long")
-            .agg(F.sum("s").alias("s"), F.sum("n").alias("n"))
-            .collect()[0]
-        )
-        global_t = (agg["s"] / agg["n"]) if agg["n"] else 0.0
-        thresholds: dict[int, float] = {}
-    else:
-        tdf = nodes.mapInPandas(pass_a, "node long, t double").toPandas()
-        thresholds = dict(zip(tdf["node"].astype(int), tdf["t"]))
-        global_t = 0.0
-    b_thresh = sc.broadcast(thresholds)
+    a = nodes.mapInPandas(pass_a, "u long, t double, s double, c long").toPandas()
+    t = np.zeros(n)
+    t[a["u"].to_numpy(np.int64)] = a["t"].to_numpy(np.float64)
+    if pruning == "wep" and len(a):
+        t[:] = a["s"].sum() / a["c"].sum()
+    b_thresh = sc.broadcast(t)
 
     def pass_b(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx = b_index.value
-        t = b_thresh.value
+        idx, t = b_index.value, b_thresh.value
         for batch in batches:
-            p1s, p2s, ws = [], [], []
-            for node in batch.loc[batch["source"] == 1, "pid"]:
-                node = int(node)
-                nbrs, w = _neighborhood(node, 1, idx, scheme=scheme, use_entropy=use_entropy)
-                if len(w) == 0:
-                    continue
-                if pruning == "wep":
-                    t1 = t2 = global_t
-                else:
-                    t1, t2 = t[node], np.array([t[p] for p in nbrs])
-                kept = keep(pruning, w, t1, t2)
-                p1s.extend([node] * int(kept.sum()))
-                p2s.extend(nbrs[kept].tolist())
-                ws.extend(w[kept].tolist())
-            yield pd.DataFrame({"p1": pd.Series(p1s, dtype="int64"),
-                                "p2": pd.Series(p2s, dtype="int64"),
-                                "weight": pd.Series(ws, dtype="float64")})
+            us = batch["id"].to_numpy(np.int64)
+            parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+            for u in us[idx.source[us] == 1]:
+                nbrs, w = _neighborhood(u, idx, **mb)
+                kept = keep(pruning, w, t[u], t[nbrs])
+                parts.append((np.full(kept.sum(), u), nbrs[kept], w[kept]))
+            u, v, w = (np.concatenate(col) for col in zip(*parts))
+            yield pd.DataFrame({"p1": idx.pids[u], "p2": idx.pids[v], "weight": w})
 
     return nodes.mapInPandas(pass_b, "p1 long, p2 long, weight double")

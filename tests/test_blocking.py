@@ -59,12 +59,6 @@ class TestFigure1TokenBlocking:
             "gagliardelli": 2, "sparker": 2,
         }
 
-    def test_dirty_er_keeps_single_source_blocks(self, toy_tokens):
-        """clean_clean=False keeps any block with >= 2 profiles."""
-        blocks = token_blocking(toy_tokens, clean_clean=False)
-        keys = set(_blocks_dict(blocks))
-        assert {"blast", "simonini", "blocking"} <= keys
-
 
 class TestLooseSchemaBlocking:
     """Figure 2(b): keys become token ⧺ '_' ⧺ cluster id."""

@@ -1,6 +1,8 @@
 """Equivalence tests: broadcast meta-blocking (paper §2.1) vs Catalyst."""
 import functools
+import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.broadcast_mb import (
@@ -26,6 +28,8 @@ CONFIGS = [
     dict(scheme="chi2", use_entropy=True, pruning="wnp"),
     dict(scheme="chi2", use_entropy=True, pruning="blast"),
     dict(scheme="js", use_entropy=True, pruning="wep"),
+    dict(scheme="chi2", use_entropy=True, pruning="cnp"),
+    dict(scheme="cbs", use_entropy=False, pruning="blast"),
 ]
 
 
@@ -60,54 +64,60 @@ def test_weights_agree(spark, blocker_out):
         assert df[k] == pytest.approx(bc[k], rel=1e-9)
 
 
+def _node(index, pid: int) -> int:
+    return int(np.searchsorted(index.pids, pid))
+
+
 class TestIndex:
     def test_index_shapes(self, toy_blocks):
-        s1, s2, ent, pb, bcount, n = _build_index(toy_blocks, None)
-        assert n == 5  # Figure 1 blocks
-        assert set(pb) == {1, 2, 3, 4}
-        assert bcount[1] == 3 and bcount[4] == 3
+        index = _build_index(toy_blocks, None)
+        assert len(index.block_ent) == 5  # Figure 1 blocks
+        assert set(index.pids.tolist()) == {1, 2, 3, 4}
+        b = dict(zip(index.pids.tolist(), index.b.tolist()))
+        assert b[1] == 3 and b[4] == 3
 
     def test_neighborhood_weights(self, toy_blocks):
         index = _build_index(toy_blocks, None)
-        nbrs, w = _neighborhood(1, 1, index, scheme="cbs", use_entropy=False)
-        got = dict(zip(nbrs.tolist(), w.tolist()))
+        nbrs, w = _neighborhood(_node(index, 1), index, scheme="cbs", use_entropy=False)
+        got = dict(zip(index.pids[nbrs].tolist(), w.tolist()))
         assert got == {3: 3.0, 4: 1.0}
 
     def test_neighborhood_symmetric(self, toy_blocks):
         index = _build_index(toy_blocks, None)
-        nbrs, w = _neighborhood(3, 2, index, scheme="cbs", use_entropy=False)
-        got = dict(zip(nbrs.tolist(), w.tolist()))
+        nbrs, w = _neighborhood(_node(index, 3), index, scheme="cbs", use_entropy=False)
+        got = dict(zip(index.pids[nbrs].tolist(), w.tolist()))
         assert got == {1: 3.0, 2: 2.0}
 
-    def test_missing_node_empty(self, toy_blocks):
-        index = _build_index(toy_blocks, None)
-        nbrs, w = _neighborhood(999, 1, index, scheme="cbs", use_entropy=False)
-        assert len(nbrs) == 0 and len(w) == 0
+    def test_node_without_other_source_neighbours(self, spark):
+        """Filtering can leave blocks with members of one source only, as
+        "b" and "c" here: pids 2 and 4 get empty neighborhoods and no
+        candidate."""
+        blocks = spark.createDataFrame(
+            [("a", 0, 1, 1), ("a", 0, 3, 2), ("b", 0, 2, 1), ("c", 0, 4, 2)],
+            "key string, cluster int, pid long, source int",
+        )
+        index = _build_index(blocks, None)
+        for pid in (2, 4):
+            nbrs, w = _neighborhood(_node(index, pid), index, scheme="cbs", use_entropy=False)
+            assert len(nbrs) == 0 and len(w) == 0
+        for pruning in ("wep", "wnp", "blast", "cnp"):
+            bc = meta_blocking_broadcast(spark, blocks, scheme="js", pruning=pruning)
+            assert _pairs(bc) == _pairs(meta_blocking(blocks, scheme="js", pruning=pruning)) == {(1, 3)}
 
 
 class TestThreshold:
-    import numpy as np
-
     def test_wnp_mean(self):
-        import numpy as np
-
         assert _threshold(np.array([1.0, 2.0, 6.0]), pruning="wnp", blast_c=0, cnp_k=0) == 3.0
 
     def test_blast_cmax(self):
-        import numpy as np
-
         assert _threshold(np.array([1.0, 8.0]), pruning="blast", blast_c=0.25, cnp_k=0) == 2.0
 
     def test_cnp_kth(self):
-        import numpy as np
-
         w = np.array([5.0, 1.0, 3.0])
         assert _threshold(w, pruning="cnp", blast_c=0, cnp_k=2) == 3.0
         assert _threshold(w, pruning="cnp", blast_c=0, cnp_k=99) == 1.0
 
     def test_unknown_raises(self):
-        import numpy as np
-
         with pytest.raises(ValueError):
             _threshold(np.array([1.0]), pruning="nope", blast_c=0, cnp_k=0)
 
@@ -134,3 +144,29 @@ def test_unknown_options_rejected_before_any_job(spark, toy_blocks, impl, bad, e
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+
+@pytest.mark.parametrize("impl", ["catalyst", "broadcast"])
+@pytest.mark.parametrize("pruning", ["wep", "wnp", "blast", "cnp"])
+def test_empty_blocks_give_no_rows(spark, toy_blocks, impl, pruning):
+    """No blocks, no candidates, and no 0/0 warning on the way."""
+    run = meta_blocking if impl == "catalyst" else functools.partial(meta_blocking_broadcast, spark)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(toy_blocks.limit(0), scheme="chi2", pruning=pruning).count() == 0
+
+
+def test_broadcast_runs_at_most_five_jobs(spark, blocker_out):
+    """One collect each of the blocks, the entropies and pass A, and two
+    jobs to count pass B: the nodes are a range, not a distinct."""
+    sc = spark.sparkContext
+    group = "broadcast-mb-jobs"
+    sc.setJobGroup(group, "broadcast meta-blocking of the dataset")
+    try:
+        meta_blocking_broadcast(
+            spark, blocker_out["blocks"], scheme="chi2", use_entropy=True,
+            entropies=blocker_out["entropies"], pruning="wnp",
+        ).count()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 5

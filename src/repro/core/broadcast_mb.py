@@ -120,7 +120,7 @@ def meta_blocking_broadcast(
 ) -> DataFrame:
     """Paper-faithful parallel meta-blocking; same contract as
     :func:`repro.core.meta_blocking.meta_blocking`."""
-    check_options(scheme, pruning)
+    check_options(scheme, pruning, blast_c=blast_c, cnp_k=cnp_k)
     if use_entropy and entropies is None:
         raise ValueError("use_entropy=True requires the entropies table")
 

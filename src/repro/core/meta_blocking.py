@@ -16,12 +16,19 @@ combine rule ``weights.keep`` (which allows a relative float slack of
 implementations can be tested for equality.
 
 The paper implements this stage over RDDs with a broadcast-join-inspired
-scheme; here the primary implementation is native Catalyst (self-join on
-block key + aggregation), per the reproduction guidelines. See DESIGN.md.
+scheme; here the primary implementation is one Catalyst plan (DESIGN.md):
+a window count over ``pid`` puts ``b`` on the assignment rows, the self-
+join on the block key is aggregated per ``(p1, p2)``, and each endpoint's
+threshold is a window over ``p1`` or ``p2`` (WEP: over all edges). That
+window is the node's whole neighbourhood because a pid belongs to one
+source only, which ``run_blocker`` enforces; ``blocks`` has one row per
+(key, pid), as the blocking stages produce.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from numbers import Integral
+
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.weights import SCHEMES, keep, weight_col
@@ -29,13 +36,18 @@ from repro.core.weights import SCHEMES, keep, weight_col
 PRUNINGS = ("wep", "wnp", "blast", "cnp")
 
 
-def check_options(scheme: str, pruning: str) -> None:
-    """Reject an unknown weighting scheme or pruning strategy up front, on
+def check_options(scheme: str, pruning: str, *, blast_c: float = 0.35, cnp_k: int = 10) -> None:
+    """Reject an unknown weighting scheme or pruning strategy, a ``cnp_k``
+    that is not an int >= 1 or a ``blast_c`` outside (0, 1], up front, on
     the driver, before any Spark job runs."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     if pruning not in PRUNINGS:
         raise ValueError(f"unknown pruning {pruning!r}; pick one of {PRUNINGS}")
+    if not isinstance(cnp_k, Integral) or cnp_k < 1:
+        raise ValueError(f"cnp_k must be an int >= 1, got {cnp_k!r}")
+    if not 0 < blast_c <= 1:
+        raise ValueError(f"blast_c must be in (0, 1], got {blast_c!r}")
 
 
 def build_graph(
@@ -45,7 +57,7 @@ def build_graph(
     use_entropy: bool = False,
     entropies: DataFrame | None = None,
 ) -> DataFrame:
-    """Materialize the weighted blocking graph.
+    """The weighted blocking graph.
 
     Returns ``(p1, p2, cbs, b1, b2, ent, weight)``, one row per candidate
     pair. ``entropies`` is the ``(cluster, entropy_norm)`` table from the
@@ -54,60 +66,51 @@ def build_graph(
     if use_entropy and entropies is None:
         raise ValueError("use_entropy=True requires the entropies table")
 
-    assignments = blocks.select("key", "cluster", "pid", "source").distinct()
+    # only chi2 needs the number of blocks, and it is a driver-side literal
+    n_blocks = blocks.select("key").distinct().count() if scheme == "chi2" else 0
+
     if use_entropy:
-        assignments = assignments.join(
-            entropies.select("cluster", "entropy_norm"), "cluster", "left"
-        ).fillna({"entropy_norm": 1.0})
+        # k rows, one per attribute cluster: broadcast, not shuffled
+        ent = F.broadcast(entropies.select("cluster", "entropy_norm"))
+        blocks = blocks.join(ent, "cluster", "left")
+        e = F.coalesce("entropy_norm", F.lit(1.0))
     else:
-        assignments = assignments.withColumn("entropy_norm", F.lit(1.0))
-
-    n_blocks = assignments.select("key").distinct().count()
-    b_counts = assignments.groupBy("pid").agg(F.countDistinct("key").alias("b"))
-
+        e = F.lit(1.0)
+    assignments = blocks.select(
+        "key", "pid", "source", e.alias("e"),
+        F.count(F.lit(1)).over(Window.partitionBy("pid")).alias("b"),
+    )
     s1 = assignments.where(F.col("source") == 1).select(
-        "key", F.col("pid").alias("p1"), F.col("entropy_norm").alias("e")
+        "key", F.col("pid").alias("p1"), F.col("b").alias("b1"), "e"
     )
-    s2 = assignments.where(F.col("source") == 2).select("key", F.col("pid").alias("p2"))
-    edges = (
-        s1.join(s2, "key")
-        .groupBy("p1", "p2")
-        .agg(F.count(F.lit(1)).alias("cbs"), F.avg("e").alias("ent"))
+    s2 = assignments.where(F.col("source") == 2).select(
+        "key", F.col("pid").alias("p2"), F.col("b").alias("b2")
     )
-    edges = (
-        edges.join(b_counts.select(F.col("pid").alias("p1"), F.col("b").alias("b1")), "p1")
-        .join(b_counts.select(F.col("pid").alias("p2"), F.col("b").alias("b2")), "p2")
+    edges = s1.join(s2, "key").groupBy("p1", "p2").agg(
+        F.count(F.lit(1)).alias("cbs"), F.first("b1").alias("b1"),
+        F.first("b2").alias("b2"), F.avg("e").alias("ent"),
     )
-    w = weight_col(
-        scheme,
-        cbs=F.col("cbs"),
-        b1=F.col("b1"),
-        b2=F.col("b2"),
-        n_blocks=n_blocks,
-        ent=F.col("ent") if use_entropy else None,
-    )
+    w = weight_col(scheme, cbs=F.col("cbs"), b1=F.col("b1"), b2=F.col("b2"),
+                   n_blocks=n_blocks, ent=F.col("ent") if use_entropy else None)
     return edges.withColumn("weight", w)
 
 
-def _node_thresholds(edges: DataFrame, *, pruning: str, blast_c: float, cnp_k: int) -> DataFrame:
-    """Per-node pruning threshold ``(node, t)`` for the node-local strategies."""
-    per_node = edges.select(F.col("p1").alias("node"), "weight").unionByName(
-        edges.select(F.col("p2").alias("node"), "weight")
-    )
+def _threshold(node: str, *, pruning: str, blast_c: float, cnp_k: int) -> Column:
+    """Threshold of each edge's ``node`` endpoint (``"p1"`` or ``"p2"``),
+    a window aggregate over that node's edges."""
+    if pruning == "wep":
+        return F.avg("weight").over(Window.partitionBy())
+    nbhd = Window.partitionBy(node)
     if pruning == "wnp":
-        return per_node.groupBy("node").agg(F.avg("weight").alias("t"))
+        return F.avg("weight").over(nbhd)
     if pruning == "blast":
-        return per_node.groupBy("node").agg((F.lit(blast_c) * F.max("weight")).alias("t"))
+        return F.lit(blast_c) * F.max("weight").over(nbhd)
     if pruning == "cnp":
-        # k-th largest weight (or the minimum when a node has < k edges).
-        return (
-            per_node.groupBy("node")
-            .agg(F.sort_array(F.collect_list("weight"), asc=False).alias("ws"))
-            .select(
-                "node",
-                F.element_at("ws", F.least(F.lit(cnp_k), F.size("ws"))).alias("t"),
-            )
+        # k-th largest weight, or the minimum when the node has < k edges
+        ranked = nbhd.orderBy(F.desc("weight")).rowsBetween(
+            Window.unboundedPreceding, Window.unboundedFollowing
         )
+        return F.coalesce(F.nth_value("weight", cnp_k).over(ranked), F.min("weight").over(ranked))
     raise ValueError(f"unknown pruning {pruning!r}; pick one of {PRUNINGS}")
 
 
@@ -119,16 +122,11 @@ def prune(
     cnp_k: int = 10,
 ) -> DataFrame:
     """Apply the pruning strategy; returns retained ``(p1, p2, weight)``."""
-    if pruning == "wep":
-        t = edges.agg(F.avg("weight").alias("t1")).withColumn("t2", F.col("t1"))
-        joined = edges.crossJoin(t)
-    else:
-        t = _node_thresholds(edges, pruning=pruning, blast_c=blast_c, cnp_k=cnp_k)
-        joined = (
-            edges.join(t.select(F.col("node").alias("p1"), F.col("t").alias("t1")), "p1")
-            .join(t.select(F.col("node").alias("p2"), F.col("t").alias("t2")), "p2")
-        )
-    return joined.where(
+    opts = dict(pruning=pruning, blast_c=blast_c, cnp_k=cnp_k)
+    edges = edges.withColumn("t1", _threshold("p1", **opts))
+    # WEP's threshold is global: one window, shared by both endpoints
+    t2 = F.col("t1") if pruning == "wep" else _threshold("p2", **opts)
+    return edges.withColumn("t2", t2).where(
         keep(pruning, F.col("weight"), F.col("t1"), F.col("t2"))
     ).select("p1", "p2", "weight")
 
@@ -144,11 +142,6 @@ def meta_blocking(
     cnp_k: int = 10,
 ) -> DataFrame:
     """Full meta-blocking: weighted graph construction + pruning."""
-    check_options(scheme, pruning)
-    edges = build_graph(
-        blocks, scheme=scheme, use_entropy=use_entropy, entropies=entropies
-    )
-    # The pruning stage reads the edge list twice (thresholds + filter);
-    # materialize it once instead of re-running the blocking self-join.
-    edges = edges.localCheckpoint(eager=True)
+    check_options(scheme, pruning, blast_c=blast_c, cnp_k=cnp_k)
+    edges = build_graph(blocks, scheme=scheme, use_entropy=use_entropy, entropies=entropies)
     return prune(edges, pruning=pruning, blast_c=blast_c, cnp_k=cnp_k)

@@ -13,7 +13,7 @@ where every cluster has zero entropy normalizes to 1.0 everywhere (no-op).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 
@@ -25,21 +25,23 @@ def cluster_entropies(tokens_with_cluster: DataFrame) -> DataFrame:
     with the attribute partition. The distribution is over token types
     within the cluster.
     """
-    counts = tokens_with_cluster.groupBy("cluster", "token").agg(
-        F.count(F.lit(1)).alias("n")
+    counts = tokens_with_cluster.groupBy("cluster", "token").count()
+    # H = -sum(n/T * log2(n/T)) = log2(T) - S/T with T = sum(n), S = sum(n * log2(n)).
+    # A cluster of one token type has H = 0 exactly; in floats S/T can come
+    # out an ulp below log2(T) (e.g. T = 13), so it is not left to the formula.
+    ent = counts.groupBy("cluster").agg(
+        F.count(F.lit(1)).alias("types"),
+        F.sum("count").alias("t"),
+        F.sum(F.col("count") * F.log2("count")).alias("s"),
+    ).select(
+        "cluster",
+        F.when(F.col("types") > 1, F.log2("t") - F.col("s") / F.col("t"))
+        .otherwise(F.lit(0.0))
+        .alias("entropy"),
     )
-    totals = counts.groupBy("cluster").agg(F.sum("n").alias("total"))
-    ent = (
-        counts.join(totals, "cluster")
-        .withColumn("p", F.col("n") / F.col("total"))
-        .groupBy("cluster")
-        .agg((-F.sum(F.col("p") * F.log2("p"))).alias("entropy"))
-    )
-    max_ent = ent.agg(F.max("entropy").alias("m"))
-    return ent.crossJoin(max_ent).select(
+    m = F.max("entropy").over(Window.partitionBy())  # over the k cluster rows
+    return ent.select(
         "cluster",
         "entropy",
-        F.when(F.col("m") > 0, F.col("entropy") / F.col("m"))
-        .otherwise(F.lit(1.0))
-        .alias("entropy_norm"),
+        F.when(m > 0, F.col("entropy") / m).otherwise(F.lit(1.0)).alias("entropy_norm"),
     )

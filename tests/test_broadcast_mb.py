@@ -147,6 +147,27 @@ def test_unknown_options_rejected_before_any_job(spark, toy_blocks, impl, bad, e
 
 
 @pytest.mark.parametrize("impl", ["catalyst", "broadcast"])
+@pytest.mark.parametrize(
+    "bad",
+    [{"cnp_k": 0}, {"cnp_k": -1}, {"cnp_k": 2.5}, {"blast_c": -1}, {"blast_c": 0}, {"blast_c": 1.5}],
+    ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()),
+)
+def test_bad_thresholds_rejected_before_any_job(spark, toy_blocks, impl, bad):
+    """cnp_k must be an int >= 1 and blast_c in (0, 1]: a bad value raises
+    ValueError on the driver, before any Spark job."""
+    sc = spark.sparkContext
+    run = meta_blocking if impl == "catalyst" else functools.partial(meta_blocking_broadcast, spark)
+    group = f"bad-thresholds-{impl}-{bad}"
+    sc.setJobGroup(group, "bad meta-blocking thresholds")
+    try:
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            run(toy_blocks, scheme="cbs", pruning="cnp" if "cnp_k" in bad else "blast", **bad)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+
+@pytest.mark.parametrize("impl", ["catalyst", "broadcast"])
 @pytest.mark.parametrize("pruning", ["wep", "wnp", "blast", "cnp"])
 def test_empty_blocks_give_no_rows(spark, toy_blocks, impl, pruning):
     """No blocks, no candidates, and no 0/0 warning on the way."""

@@ -1,5 +1,6 @@
 """Tests for the Entropy Extractor."""
 import math
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -49,6 +50,12 @@ class TestNormalization:
         e = _ent(spark, {1: ["a", "a"], 2: ["b", "b", "b"]})
         assert e[1][1] == 1.0 and e[2][1] == 1.0
 
+    def test_constant_clusters_are_exactly_zero(self, spark):
+        """In floats 13 * log2(13) / 13 is an ulp below log2(13); a one-type
+        cluster must still score exactly 0, so both normalize to 1.0."""
+        e = _ent(spark, {1: ["a"] * 13, 2: ["b"] * 3})
+        assert e[1] == (0.0, 1.0) and e[2] == (0.0, 1.0)
+
     def test_ratio_preserved(self, spark):
         e = _ent(spark, {1: ["a", "b", "c", "d"], 2: ["x", "y"]})
         assert e[2][1] == pytest.approx(e[2][0] / e[1][0])
@@ -70,3 +77,25 @@ class TestOnDataset:
         c = {r["attribute"]: r["cluster"] for r in blocker_out["attr_clusters"].collect()}
         ent = {r["cluster"]: r["entropy"] for r in blocker_out["entropies"].collect()}
         assert ent[c["1.name"]] > ent[c["1.price"]]
+
+    def test_entropies_match_python_reference(self, blocker_out):
+        """Shannon entropy and its normalization, recomputed with math.log2
+        from the (cluster, token) occurrences of the blocker run."""
+        occ = Counter(
+            (r["cluster"], r["token"])
+            for r in blocker_out["tokens"].join(blocker_out["attr_clusters"], "attribute")
+            .select("cluster", "token").collect()
+        )
+        counts = defaultdict(list)
+        for (c, _), n in occ.items():
+            counts[c].append(n)
+        want = {}
+        for c, ns in counts.items():
+            total = sum(ns)
+            want[c] = -sum(n / total * math.log2(n / total) for n in ns)
+        top = max(want.values())
+        got = {r["cluster"]: r for r in blocker_out["entropies"].collect()}
+        assert set(got) == set(want)
+        for c, h in want.items():
+            assert abs(got[c]["entropy"] - h) <= 1e-12
+            assert abs(got[c]["entropy_norm"] - h / top) <= 1e-12

@@ -190,3 +190,20 @@ class TestOnDataset:
             entropies=blocker_out["entropies"],
         )
         assert edges.where(F.col("weight") < 0).count() == 0
+
+
+@pytest.mark.parametrize("pruning", ["wep", "wnp", "blast", "cnp"])
+def test_catalyst_mb_job_budget(spark, blocker_out, pruning):
+    """Catalyst meta-blocking is one plan over the blocks: the count of
+    the distinct keys (for chi2) and the jobs of counting the result."""
+    sc = spark.sparkContext
+    group = f"catalyst-mb-jobs-{pruning}"
+    sc.setJobGroup(group, "Catalyst meta-blocking of the dataset")
+    try:
+        meta_blocking(
+            blocker_out["blocks"], scheme="chi2", use_entropy=True,
+            entropies=blocker_out["entropies"], pruning=pruning,
+        ).count()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 15

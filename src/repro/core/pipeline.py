@@ -95,7 +95,6 @@ def run_blocker(
                 num_hashes=cfg.num_hashes,
                 rows_per_band=cfg.rows_per_band,
             )
-        attr_clusters = _mat(attr_clusters)
         blocks_raw = blocking.loose_schema_blocking(tokens, attr_clusters)
         if cfg.use_entropy:
             entropies = _mat(entropy_mod.cluster_entropies(
@@ -156,6 +155,6 @@ def run_pipeline(
     matches = _mat(threshold_matcher(
         sims, feature=match_feature, threshold=match_threshold
     ))
-    clusters = _mat(cluster_entities(matches))
+    clusters = cluster_entities(matches)
     out.update({"similarities": sims, "matches": matches, "clusters": clusters})
     return out

@@ -31,8 +31,3 @@ def tokenize(profiles: DataFrame, *, min_len: int = 2) -> DataFrame:
         .distinct()
     )
 
-
-def profile_token_sets(tokens: DataFrame) -> DataFrame:
-    """Distinct ``(pid, source, token)`` — the attribute-agnostic view of
-    each profile, used by the debug sampler's token overlap."""
-    return tokens.select("pid", "source", "token").distinct()

@@ -5,17 +5,21 @@ still contain matching pairs. The paper adopts Magellan's scheme: pick K
 random profiles; for each picked profile take k/2 profiles that *could*
 match it (high token overlap) and k/2 random profiles.
 
-Deterministic in ``seed`` (Spark-side randomness uses seeded functions).
-``F.rand`` runs over shuffled rows, whose order may differ between
-evaluations, so the sample is drawn once and returned materialized.
+The random draws run on the driver: one ``np.random.default_rng(seed)``
+over the profile ids sorted by pid, so the sample depends only on the
+data and ``seed``, not on how Spark partitions or orders the rows. The
+driver holds one int64 per profile and the seeds' token sets (K
+profiles). Only the token overlap of the seeds with every other-source
+profile runs in Spark, as one broadcast join. The sample is returned as
+a frame over the driver's rows, so reading it again re-runs none of the
+draw.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
-
-from repro.core.tokens import profile_token_sets
 
 
 def debug_sample(
@@ -31,63 +35,55 @@ def debug_sample(
 
     - ``seed``: the K randomly picked profiles;
     - ``likely``: for each seed profile, the ``small_k/2`` other-source
-      profiles sharing the most tokens with it;
-    - ``random``: ``small_k/2`` uniformly random other profiles per seed.
+      profiles sharing the most tokens with it (ties to the smaller pid);
+    - ``random``: ``small_k/2`` uniformly random non-seed profiles per
+      seed, drawn without replacement.
+
+    A profile picked for several reasons keeps the alphabetically first.
     """
-    ids = profiles.select("pid", "source").distinct()
-    seeds = (
-        ids.withColumn("r", F.rand(seed))
-        .orderBy("r", "pid")
-        .limit(big_k)
-        .select("pid", "source")
-    )
+    spark = profiles.sparkSession
+    pids = np.sort(np.array(
+        [r["pid"] for r in profiles.select("pid").distinct().collect()], np.int64
+    ))
+    rng = np.random.default_rng(seed)
+    seeds = rng.choice(pids, size=min(big_k, len(pids)), replace=False)
+    rest = np.setdiff1d(pids, seeds)
+    randoms = rng.choice(rest, size=min(big_k * (small_k // 2), len(rest)), replace=False)
 
-    ts = profile_token_sets(tokens)
-    seed_keys = seeds.select(
-        F.col("pid").alias("seed_pid"), F.col("source").alias("seed_source")
+    seed_tokens = (
+        tokens.where(F.col("pid").isin(seeds.tolist()))
+        .select("pid", "source", "token")
+        .collect()
     )
-    t_seed = seed_keys.join(
-        ts.select(F.col("pid").alias("seed_pid"), "token"), "seed_pid"
+    t_seed = spark.createDataFrame(
+        list(set(seed_tokens)), "seed_pid long, seed_source int, token string"
     )
-    overlap = (
-        t_seed.join(
-            ts.select(F.col("pid").alias("cand_pid"), F.col("source"), "token"),
-            "token",
-        )
-        .where(F.col("source") != F.col("seed_source"))
-        .groupBy("seed_pid", "cand_pid")
-        .agg(F.count(F.lit(1)).alias("shared"))
-    )
-    w = Window.partitionBy("seed_pid").orderBy(F.desc("shared"), F.asc("cand_pid"))
+    w = Window.partitionBy("seed_pid").orderBy(F.desc("shared"), F.asc("pid"))
     likely = (
-        overlap.withColumn("rank", F.row_number().over(w))
+        tokens.join(F.broadcast(t_seed), "token")
+        .where(F.col("source") != F.col("seed_source"))
+        .groupBy("seed_pid", "pid")
+        .agg(F.countDistinct("token").alias("shared"))
+        .withColumn("rank", F.row_number().over(w))
         .where(F.col("rank") <= small_k // 2)
-        .select(F.col("cand_pid").alias("pid"))
-    )
-
-    n_random = big_k * (small_k // 2)
-    randoms = (
-        ids.join(seeds.select("pid"), "pid", "left_anti")
-        .withColumn("r", F.rand(seed + 1))
-        .orderBy("r", "pid")
-        .limit(n_random)
         .select("pid")
+        .collect()
     )
 
-    return (
-        seeds.select("pid").withColumn("reason", F.lit("seed"))
-        .unionByName(likely.withColumn("reason", F.lit("likely")))
-        .unionByName(randoms.withColumn("reason", F.lit("random")))
-        .groupBy("pid")
-        .agg(F.min("reason").alias("reason"))
-        .localCheckpoint(eager=True)
-    )
+    # Seeds and randoms are disjoint; a later reason wins, which keeps the
+    # alphabetically first one (likely < random < seed).
+    reason = {
+        **dict.fromkeys(seeds.tolist(), "seed"),
+        **dict.fromkeys(randoms.tolist(), "random"),
+        **dict.fromkeys((r["pid"] for r in likely), "likely"),
+    }
+    return spark.createDataFrame(sorted(reason.items()), "pid long, reason string")
 
 
 def restrict_to_sample(df: DataFrame, sample: DataFrame, *, cols: tuple[str, ...] = ("pid",)) -> DataFrame:
-    """Keep only rows whose profile columns all fall in the sample."""
-    s = sample.select("pid")
+    """Keep only rows whose profile columns all fall in the sample
+    (broadcast semi-joins: the sample is small)."""
     out = df
     for c in cols:
-        out = out.join(s.withColumnRenamed("pid", c), c, "semi")
+        out = out.join(F.broadcast(sample.select(F.col("pid").alias(c))), c, "semi")
     return out

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graph.connected_components import connected_components
 from repro.looseschema import minhash
@@ -102,14 +101,11 @@ def manual_partition(
     """Supervised mode: the user assigns attributes to clusters by hand.
 
     ``clusters`` maps source-qualified attribute names to cluster ids
-    (use ids >= 1; unlisted attributes fall into the blob).
+    (use ids >= 1; unlisted attributes fall into the blob). Like
+    ``partition_attributes``, the table is built on the driver, one row
+    per distinct attribute in name order.
     """
-    mapping = spark.createDataFrame(
-        [(k, int(v)) for k, v in clusters.items()], ["attribute", "cluster"]
-    )
-    all_attrs = attributes.select("attribute").distinct()
-    assigned = all_attrs.join(mapping, "attribute")
-    return assigned.unionByName(
-        all_attrs.join(mapping, "attribute", "left_anti")
-        .withColumn("cluster", F.lit(BLOB_CLUSTER))
+    names = sorted(r["attribute"] for r in attributes.select("attribute").distinct().collect())
+    return spark.createDataFrame(
+        [(a, int(clusters.get(a, BLOB_CLUSTER))) for a in names], "attribute string, cluster int"
     )

@@ -43,9 +43,7 @@ class TestDebugSample:
 
     def test_likely_profiles_share_tokens_with_a_seed(self, sample, profiles, tokens):
         """Every 'likely' pick must actually overlap some seed profile."""
-        from repro.core.tokens import profile_token_sets
-
-        ts = profile_token_sets(tokens)
+        ts = tokens.select("pid", "source", "token").distinct()
         seeds = sample.where("reason = 'seed'").select("pid")
         likely = sample.where("reason = 'likely'").select("pid")
         seed_toks = ts.join(seeds, "pid").select("token").distinct()
@@ -99,3 +97,54 @@ def test_sample_is_drawn_once(spark, profiles, tokens):
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert second == first
     assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+
+
+def _jobs_run(spark, label, action):
+    """Run ``action()`` under its own job group; return the number of
+    jobs it ran and its result."""
+    sc = spark.sparkContext
+    sc.setJobGroup(label, label)
+    try:
+        out = action()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return len(sc.statusTracker().getJobIdsForGroup(label)), out
+
+
+def test_sample_independent_of_partitioning(spark, profiles, tokens):
+    """The same seed draws the same sample however Spark partitions the
+    inputs or the shuffles."""
+    def draw(p, t):
+        return sorted(map(tuple, debug_sample(p, t, big_k=20, small_k=6, seed=5).collect()))
+
+    key = "spark.sql.shuffle.partitions"
+    old = spark.conf.get(key)
+    try:
+        spark.conf.set(key, "16")
+        s16 = draw(profiles, tokens)
+        spark.conf.set(key, "64")
+        s64 = draw(profiles, tokens)
+    finally:
+        spark.conf.set(key, old)
+    assert s16 == s64
+    assert draw(profiles.repartition(3), tokens.repartition(5)) == s64
+
+
+def test_debug_sample_job_budget(spark, profiles, tokens, er):
+    n_draw, s = _jobs_run(
+        spark, "debug-sample-draw",
+        lambda: debug_sample(profiles, tokens, big_k=20, small_k=6, seed=5),
+    )
+    n_restrict, _ = _jobs_run(
+        spark, "debug-sample-restrict",
+        lambda: restrict_to_sample(er[2], s, cols=("p1", "p2")).count(),
+    )
+    assert n_draw <= 9
+    assert n_restrict <= 3
+
+
+def test_big_k_beyond_collection_takes_every_profile(toy_profiles, toy_tokens):
+    s = debug_sample(toy_profiles, toy_tokens, big_k=50, small_k=4, seed=3).collect()
+    pids = [r["pid"] for r in s]
+    all_pids = {r["pid"] for r in toy_profiles.select("pid").distinct().collect()}
+    assert sorted(pids) == sorted(all_pids)

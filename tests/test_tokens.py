@@ -4,7 +4,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.profiles import to_profiles
-from repro.core.tokens import profile_token_sets, tokenize
+from repro.core.tokens import tokenize
 from repro.oracle import assert_equivalent
 
 
@@ -67,13 +67,6 @@ class TestOnDataset:
 
     def test_all_lowercase(self, tokens):
         assert tokens.where(F.col("token") != F.lower("token")).count() == 0
-
-    def test_profile_token_sets_collapses_attributes(self, toy_tokens):
-        ts = profile_token_sets(toy_tokens)
-        # p1: blast, simonini, how, improve, meta, blocking (and no dup of
-        # any token across attributes).
-        p1 = {r["token"] for r in ts.where("pid = 1").collect()}
-        assert p1 == {"blast", "simonini", "how", "to", "improve", "meta", "blocking"}
 
     def test_oracle_tokenization(self, spark, toy_profiles):
         got = tokenize(toy_profiles).select("pid", "token").distinct()

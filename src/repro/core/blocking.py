@@ -42,16 +42,16 @@ def token_blocking(tokens: DataFrame) -> DataFrame:
     return _prune_useless(blocks)
 
 
-def loose_schema_blocking(tokens: DataFrame, attr_clusters: DataFrame) -> DataFrame:
+def loose_schema_blocking(tagged_tokens: DataFrame) -> DataFrame:
     """Loose-schema blocking (Figure 2b): key = token ⧺ "_" ⧺ cluster id.
 
     The same token under attributes in different clusters yields distinct
     keys ("simonini_1" vs "simonini_2"), disambiguating its role.
-    ``attr_clusters`` is the ``(attribute, cluster)`` partition.
+    ``tagged_tokens`` is the tokenizer output joined with the
+    ``(attribute, cluster)`` partition: ``(pid, source, token, cluster)``.
     """
     blocks = (
-        tokens.join(attr_clusters, "attribute")
-        .select(
+        tagged_tokens.select(
             F.concat_ws("_", "token", F.col("cluster").cast("string")).alias("key"),
             "cluster",
             "pid",
@@ -60,11 +60,6 @@ def loose_schema_blocking(tokens: DataFrame, attr_clusters: DataFrame) -> DataFr
         .distinct()
     )
     return _prune_useless(blocks)
-
-
-def block_sizes(blocks: DataFrame) -> DataFrame:
-    """``(key, size)`` — number of distinct profiles per block."""
-    return blocks.groupBy("key").agg(F.countDistinct("pid").alias("size"))
 
 
 def candidate_pairs(blocks: DataFrame) -> DataFrame:

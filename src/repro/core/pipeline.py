@@ -43,8 +43,6 @@ class BlockerConfig:
 
     loose_schema: bool = True
     lsh_threshold: float = 0.3
-    num_hashes: int = 128
-    rows_per_band: int = 2
     purge_max_frac: float = 0.5
     filter_ratio: float = 0.8
     run_meta_blocking: bool = True
@@ -53,8 +51,38 @@ class BlockerConfig:
     pruning: str = "wnp"
     blast_c: float = 0.35
     cnp_k: int = 10
-    token_min_len: int = 2
     manual_clusters: dict[str, int] | None = field(default=None)
+
+
+def _count_profiles(source_a: DataFrame, source_b: DataFrame, profiles: DataFrame) -> int:
+    """The number of profiles (pids with a value in ``profiles``), in one
+    aggregation that also checks the sources' wide ``id`` columns: raises
+    ``ValueError`` unless every id is a non-null integer that occurs once
+    in the two sources."""
+    def ids(src: DataFrame, source: int) -> DataFrame:
+        return src.select(
+            F.col("id").cast("long").alias("id"), F.lit(source).alias("source"), F.lit(True).alias("wide")
+        )
+
+    rows = ids(source_a, 1).unionByName(ids(source_b, 2)).unionByName(
+        profiles.select(F.col("pid").alias("id"), "source", F.lit(False).alias("wide"))
+    )
+    wide_id = F.when(F.col("wide"), F.col("id"))
+    n_rows, n_ids, n_id_sources, n_distinct, n_profiles = rows.agg(
+        F.count(F.when(F.col("wide"), 1)), F.count(wide_id), F.countDistinct(wide_id, "source"),
+        F.countDistinct(wide_id), F.countDistinct(F.when(~F.col("wide"), F.col("id"))),
+    ).first()
+    for bad, what in [
+        (n_rows - n_ids, "are null or not integers"),
+        (n_ids - n_id_sources, "repeat within a source"),
+        (n_id_sources - n_distinct, "occur in both sources"),
+    ]:
+        if bad:
+            raise ValueError(
+                f"{bad} profile ids {what}; clean-clean ER needs one integer id "
+                "per profile, unique within and across the sources"
+            )
+    return n_profiles
 
 
 def run_blocker(
@@ -65,22 +93,16 @@ def run_blocker(
 ) -> dict:
     """Run the full Blocker; returns every intermediate product.
 
-    Raises ``ValueError`` when a profile id occurs in both sources.
+    Raises ``ValueError`` when a profile id is null or not an integer,
+    repeats within a source, or occurs in both sources.
 
     Keys: profiles, tokens, attr_clusters, entropies, blocks_raw,
     blocks_purged, blocks, candidates (post-meta-blocking when enabled,
     else the post-filtering comparisons).
     """
     profiles = _mat(load_clean_clean(source_a, source_b))
-    n_profiles, n_pid_sources = profiles.agg(
-        F.countDistinct("pid"), F.countDistinct("pid", "source")
-    ).first()
-    if n_profiles != n_pid_sources:
-        raise ValueError(
-            f"{n_pid_sources - n_profiles} profile ids occur in both sources; "
-            "clean-clean ER needs ids that are unique across the sources"
-        )
-    tokens = _mat(tokenize(profiles, min_len=cfg.token_min_len))
+    n_profiles = _count_profiles(source_a, source_b, profiles)
+    tokens = _mat(tokenize(profiles))
 
     attr_clusters = entropies = None
     if cfg.loose_schema:
@@ -89,21 +111,15 @@ def run_blocker(
                 spark, tokens.select("attribute"), cfg.manual_clusters
             )
         else:
-            attr_clusters = partitioning.partition_attributes(
-                tokens,
-                threshold=cfg.lsh_threshold,
-                num_hashes=cfg.num_hashes,
-                rows_per_band=cfg.rows_per_band,
-            )
-        blocks_raw = blocking.loose_schema_blocking(tokens, attr_clusters)
+            attr_clusters = partitioning.partition_attributes(tokens, threshold=cfg.lsh_threshold)
+        # one row per attribute, built on the driver: broadcast, not shuffled
+        tagged = tokens.join(F.broadcast(attr_clusters), "attribute")
+        blocks_raw = blocking.loose_schema_blocking(tagged)
         if cfg.use_entropy:
-            entropies = _mat(entropy_mod.cluster_entropies(
-                tokens.join(attr_clusters, "attribute").select("cluster", "token")
-            ))
+            entropies = _mat(entropy_mod.cluster_entropies(tagged.select("cluster", "token")))
     else:
         blocks_raw = blocking.token_blocking(tokens)
 
-    blocks_raw = _mat(blocks_raw)
     blocks_purged = purging.purge_blocks(
         blocks_raw, num_profiles=n_profiles, max_frac=cfg.purge_max_frac
     )
@@ -135,22 +151,23 @@ def run_blocker(
     }
 
 
+# The name-like attribute of each source, for the ``lev_norm`` feature.
+NAME_ATTRS = ["1.name", "2.title"]
+
+
 def run_pipeline(
     spark: SparkSession,
     source_a: DataFrame,
     source_b: DataFrame,
     cfg: BlockerConfig = BlockerConfig(),
     *,
-    name_attrs: list[str] | None = None,
     match_feature: str = "cosine",
     match_threshold: float = 0.4,
 ) -> dict:
     """Blocker → Entity Matcher (threshold mode) → Entity Clusterer."""
     out = run_blocker(spark, source_a, source_b, cfg)
-    if name_attrs is None:
-        name_attrs = ["1.name", "2.title"]
     sims = _mat(add_similarities(
-        out["candidates"], out["tokens"], out["profiles"], name_attrs=name_attrs
+        out["candidates"], out["tokens"], out["profiles"], name_attrs=NAME_ATTRS
     ))
     matches = _mat(threshold_matcher(
         sims, feature=match_feature, threshold=match_threshold

@@ -24,41 +24,40 @@ def attr_name(source: int, column: str) -> str:
     return f"{source}.{column}"
 
 
-def to_profiles(df: DataFrame, *, source: int, id_col: str = "id") -> DataFrame:
+def to_profiles(df: DataFrame, *, source: int) -> DataFrame:
     """Melt a wide source DataFrame into the long profile representation.
 
-    Every non-id column becomes an attribute; values are cast to string;
+    Every column but ``id`` becomes an attribute; values are cast to string;
     null and empty values are dropped (a missing attribute simply does not
     exist in a schema-agnostic profile).
     """
-    value_cols = [c for c in df.columns if c != id_col]
+    value_cols = [c for c in df.columns if c != "id"]
     if not value_cols:
         raise ValueError("source DataFrame has no attribute columns")
     long = df.unpivot(
-        ids=[id_col],
-        values=[F.col(c).cast("string").alias(c) for c in value_cols],
+        ids=["id"],
+        values=[F.col(c).cast("string").alias(attr_name(source, c)) for c in value_cols],
         variableColumnName="attribute",
         valueColumnName="value",
     )
     return (
         long.where(F.col("value").isNotNull() & (F.trim("value") != ""))
         .select(
-            F.col(id_col).cast("long").alias("pid"),
+            F.col("id").cast("long").alias("pid"),
             F.lit(source).alias("source"),
-            F.concat(F.lit(f"{source}."), F.col("attribute")).alias("attribute"),
-            F.col("value"),
+            "attribute",
+            "value",
         )
     )
 
 
-def load_clean_clean(df_a: DataFrame, df_b: DataFrame, *, id_col: str = "id") -> DataFrame:
+def load_clean_clean(df_a: DataFrame, df_b: DataFrame) -> DataFrame:
     """Union the two sources into one profile collection.
 
-    Profile ids must already be globally unique across the sources (the
-    synthetic generator guarantees this). This function does not check it;
-    ``repro.core.pipeline.run_blocker`` does, in the aggregation that
-    counts the profiles, and raises ``ValueError`` on a collision.
+    Profile ids must be non-null integers, unique within and across the
+    sources (the synthetic generator guarantees this). This function does
+    not check it; ``repro.core.pipeline.run_blocker`` does, in the
+    aggregation that counts the profiles, and raises ``ValueError``
+    otherwise.
     """
-    return to_profiles(df_a, source=1, id_col=id_col).unionByName(
-        to_profiles(df_b, source=2, id_col=id_col)
-    )
+    return to_profiles(df_a, source=1).unionByName(to_profiles(df_b, source=2))

@@ -67,6 +67,11 @@ FILLER = [
     "refurbished", "lightweight", "durable", "sleek", "modern", "universal",
 ]
 
+# Dirty-side noise of a Buy title: the chance of a typo per word (and per
+# brand), and of dropping a word from a non-sparse title.
+TYPO_RATE = 0.08
+DROP_RATE = 0.15
+
 
 @dataclass(frozen=True)
 class ERDataset:
@@ -112,8 +117,6 @@ def generate(
     overlap: float = 0.72,
     seed: int = 7,
     size_mult: int = 1,
-    typo_rate: float = 0.08,
-    drop_rate: float = 0.15,
 ) -> ERDataset:
     """Generate the synthetic Abt-Buy instance.
 
@@ -185,10 +188,10 @@ def generate(
         # path — exactly the pairs a manual name/description attribute
         # split loses (the demo's Figure 6c/6d debugging scenario).
         sparse = g.random() < 0.35
-        eff_drop = 0.85 if sparse else drop_rate
+        eff_drop = 0.85 if sparse else DROP_RATE
         if g.random() < (0.60 if sparse else 0.2):
             brand_t = brand[:4]  # abbreviation
-        elif g.random() < typo_rate:
+        elif g.random() < TYPO_RATE:
             brand_t = _typo(brand, g)
         else:
             brand_t = brand
@@ -196,7 +199,7 @@ def generate(
         for w in [categories[e], *name_words[e]]:
             if g.random() < eff_drop:
                 continue
-            words.append(_typo(w, g) if g.random() < typo_rate else w)
+            words.append(_typo(w, g) if g.random() < TYPO_RATE else w)
         model_in_title = not sparse
         title_parts = [brand_t, *words] + ([models[e]] if model_in_title else [])
         n_fill = int(g.integers(6, 16))

@@ -70,7 +70,6 @@ def partition_attributes(
     threshold: float = 0.3,
     num_hashes: int = 128,
     rows_per_band: int = 2,
-    seed: int = 42,
 ) -> DataFrame:
     """Learn the attribute partition; returns ``(attribute, cluster)``.
 
@@ -82,7 +81,7 @@ def partition_attributes(
     """
     sigs = minhash.signatures(
         attribute_tokens(tokens), item_col="attribute", token_col="token",
-        num_hashes=num_hashes, seed=seed,
+        num_hashes=num_hashes,
     )
     attrs, sig = minhash.signature_matrix(sigs, num_hashes)
     pairs = minhash.banded_pairs(minhash.band_keys(sig, rows_per_band=rows_per_band))

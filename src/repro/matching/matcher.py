@@ -36,67 +36,54 @@ def threshold_matcher(sim_pairs: DataFrame, *, feature: str = "jaccard", thresho
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Weights of the tiny logistic classifier: score = σ(w·x + b)."""
+    """Weights of the tiny logistic classifier over ``FEATURES``:
+    score = σ(w·x + b)."""
 
     weights: tuple[float, ...]
     bias: float
-    features: tuple[str, ...] = FEATURES
 
 
-def train_logistic(
-    labeled: pd.DataFrame,
-    *,
-    features: tuple[str, ...] = FEATURES,
-    lr: float = 1.0,
-    epochs: int = 2000,
-    l2: float = 1e-4,
-    balanced: bool = True,
-    seed: int = 0,
-) -> LogisticModel:
+def train_logistic(labeled: pd.DataFrame) -> LogisticModel:
     """Batch-gradient-descent logistic regression on a labeled sample.
 
-    ``labeled`` is a pandas frame with the feature columns and a 0/1
+    ``labeled`` is a pandas frame with the ``FEATURES`` columns and a 0/1
     ``label`` column. Driver-side by design: the supervised sample is small
-    (the user labels it), only scoring is distributed. Candidate sets are
-    heavily match-poor, so ``balanced`` re-weights classes inversely to
-    their frequency — without it the model happily predicts "no match"
-    everywhere.
+    (the user labels it), only scoring is distributed. Fixed settings:
+    2000 epochs at learning rate 1.0, L2 1e-4, initial weights from
+    ``default_rng(0)``.
     """
-    x = labeled[list(features)].to_numpy(np.float64)
+    x = labeled[list(FEATURES)].to_numpy(np.float64)
     y = labeled["label"].to_numpy(np.float64)
     n_pos = float(y.sum())
     if n_pos == 0 or n_pos == len(y):
         raise ValueError("training sample needs both classes")
-    if balanced:
-        sw = np.where(y == 1, len(y) / (2 * n_pos), len(y) / (2 * (len(y) - n_pos)))
-    else:
-        sw = np.ones_like(y)
+    # Candidate sets are heavily match-poor, so classes are re-weighted
+    # inversely to their frequency; unweighted, the model predicts
+    # "no match" everywhere.
+    sw = np.where(y == 1, len(y) / (2 * n_pos), len(y) / (2 * (len(y) - n_pos)))
     sw = sw / sw.sum()
-    g = np.random.default_rng(seed)
-    w = g.normal(0, 0.01, x.shape[1])
+    w = np.random.default_rng(0).normal(0, 0.01, x.shape[1])
     b = 0.0
-    for _ in range(epochs):
+    for _ in range(2000):
         z = x @ w + b
         p = 1.0 / (1.0 + np.exp(-z))
-        grad_w = x.T @ ((p - y) * sw) + l2 * w
-        grad_b = float(np.sum((p - y) * sw))
-        w -= lr * grad_w
-        b -= lr * grad_b
-    return LogisticModel(weights=tuple(float(v) for v in w), bias=float(b), features=features)
+        w -= x.T @ ((p - y) * sw) + 1e-4 * w
+        b -= float(np.sum((p - y) * sw))
+    return LogisticModel(weights=tuple(float(v) for v in w), bias=float(b))
 
 
 def score_logistic(sim_pairs: DataFrame, model: LogisticModel) -> DataFrame:
     """Score every candidate with the trained model as a column expression."""
     z = F.lit(model.bias)
-    for w, feat in zip(model.weights, model.features):
+    for w, feat in zip(model.weights, FEATURES):
         z = z + F.lit(w) * F.col(feat)
     return sim_pairs.withColumn("score", 1.0 / (1.0 + F.exp(-z)))
 
 
-def logistic_matcher(sim_pairs: DataFrame, model: LogisticModel, *, threshold: float = 0.5) -> DataFrame:
-    """Supervised matcher: σ(w·x) >= threshold."""
+def logistic_matcher(sim_pairs: DataFrame, model: LogisticModel) -> DataFrame:
+    """Supervised matcher: σ(w·x) >= 0.5."""
     return (
         score_logistic(sim_pairs, model)
-        .where(F.col("score") >= threshold)
+        .where(F.col("score") >= 0.5)
         .select("p1", "p2", "score")
     )

@@ -17,7 +17,7 @@ tokens are the ``array_intersect`` of the two maps' keys.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
@@ -43,42 +43,15 @@ def _profile_vectors(tokens: DataFrame) -> DataFrame:
     )
 
 
-def _join_sides(pairs: DataFrame, table: DataFrame, how: str = "inner") -> DataFrame:
+def _join_sides(pairs: DataFrame, table: DataFrame) -> DataFrame:
     """``pairs`` joined to the per-profile ``table`` on ``p1`` and on
     ``p2``; each other column ``c`` of ``table`` comes back as ``c1``/``c2``."""
     for i in (1, 2):
         side = table.select(
             *[F.col(c).alias(f"p{i}" if c == "pid" else f"{c}{i}") for c in table.columns]
         )
-        pairs = pairs.join(side, f"p{i}", how)
+        pairs = pairs.join(side, f"p{i}")
     return pairs
-
-
-def _features(pairs: DataFrame, table: DataFrame) -> DataFrame:
-    """``pairs`` joined to ``_profile_vectors`` columns on both sides, with
-    ``jaccard`` and ``cosine``; pairs with a token-less profile drop out."""
-    shared = F.array_intersect(F.map_keys("vec1"), F.map_keys("vec2"))
-    dot = F.aggregate(shared, F.lit(0.0), lambda a, t: a + F.col("vec1")[t] * F.col("vec2")[t])
-    cosine = F.when(
-        (F.col("norm1") > 0) & (F.col("norm2") > 0), dot / (F.col("norm1") * F.col("norm2"))
-    ).otherwise(F.lit(0.0))
-    return (
-        _join_sides(pairs, table)
-        .withColumn("inter", F.size(shared))
-        .withColumn("jaccard", F.col("inter") / (F.col("n1") + F.col("n2") - F.col("inter")))
-        .withColumn("cosine", cosine)
-    )
-
-
-def jaccard(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
-    """``(p1, p2, jaccard)`` over the distinct token sets of each profile."""
-    return _features(pairs, _profile_vectors(tokens)).select("p1", "p2", "jaccard")
-
-
-def cosine_tfidf(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
-    """``(p1, p2, cosine)`` over TF-IDF vectors (see ``_profile_vectors``).
-    Profiles sharing no token get cosine 0."""
-    return _features(pairs, _profile_vectors(tokens)).select("p1", "p2", "cosine")
 
 
 def name_values(profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
@@ -98,19 +71,6 @@ def name_values(profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
     )
 
 
-def _lev_norm(name1: Column, name2: Column) -> Column:
-    lev = 1.0 - F.levenshtein(name1, name2) / F.greatest(F.length(name1), F.length(name2))
-    both = name1.isNotNull() & name2.isNotNull()
-    return F.when(both, lev).otherwise(F.lit(0.0)).alias("lev_norm")
-
-
-def levenshtein_norm(pairs: DataFrame, profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
-    """``(p1, p2, lev_norm)`` — 1 − editdistance/maxlen on the name strings;
-    0 when a side has no name value."""
-    names = _join_sides(pairs, name_values(profiles, name_attrs), "left")
-    return names.select("p1", "p2", _lev_norm(F.col("name1"), F.col("name2")))
-
-
 def add_similarities(
     pairs: DataFrame,
     tokens: DataFrame,
@@ -118,8 +78,25 @@ def add_similarities(
     *,
     name_attrs: list[str],
 ) -> DataFrame:
-    """Distinct candidate pairs decorated with all three features."""
+    """Distinct candidate pairs decorated with all three features; pairs
+    with a token-less profile drop out, and a missing name gives
+    ``lev_norm`` 0."""
     table = _profile_vectors(tokens).join(name_values(profiles, name_attrs), "pid", "left")
-    return _features(pairs.select("p1", "p2").distinct(), table).select(
-        "p1", "p2", "jaccard", "cosine", _lev_norm(F.col("name1"), F.col("name2"))
+    shared = F.array_intersect(F.map_keys("vec1"), F.map_keys("vec2"))
+    dot = F.aggregate(shared, F.lit(0.0), lambda a, t: a + F.col("vec1")[t] * F.col("vec2")[t])
+    cosine = F.when(
+        (F.col("norm1") > 0) & (F.col("norm2") > 0), dot / (F.col("norm1") * F.col("norm2"))
+    ).otherwise(F.lit(0.0))
+    name1, name2 = F.col("name1"), F.col("name2")
+    lev = 1.0 - F.levenshtein(name1, name2) / F.greatest(F.length(name1), F.length(name2))
+    return (
+        _join_sides(pairs.select("p1", "p2").distinct(), table)
+        .withColumn("inter", F.size(shared))
+        .select(
+            "p1",
+            "p2",
+            (F.col("inter") / (F.col("n1") + F.col("n2") - F.col("inter"))).alias("jaccard"),
+            cosine.alias("cosine"),
+            F.when(name1.isNotNull() & name2.isNotNull(), lev).otherwise(F.lit(0.0)).alias("lev_norm"),
+        )
     )

@@ -49,14 +49,9 @@ CONFIGS: list[tuple[str, BlockerConfig]] = [
 ]
 
 
-def run(
-    spark: SparkSession,
-    *,
-    n_entities: int = 1500,
-    seed: int = 7,
-) -> list[dict]:
+def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
     """One row per demo configuration."""
-    ds = er_synth.generate(n_entities=n_entities, seed=seed)
+    ds = er_synth.generate(n_entities=n_entities)
     a, b, gt = er_synth.to_spark(spark, ds)
     rows = []
     for label, cfg in CONFIGS:

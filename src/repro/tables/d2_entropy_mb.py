@@ -27,15 +27,9 @@ MB_CONFIGS: list[tuple[str, dict]] = [
 ]
 
 
-def run(
-    spark: SparkSession,
-    *,
-    n_entities: int = 1500,
-    seed: int = 7,
-    pruning: str = "wnp",
-) -> list[dict]:
-    """Baseline + three meta-blocking rows over the 6(b) blocking."""
-    ds = er_synth.generate(n_entities=n_entities, seed=seed)
+def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
+    """Baseline + three WNP meta-blocking rows over the 6(b) blocking."""
+    ds = er_synth.generate(n_entities=n_entities)
     a, b, gt = er_synth.to_spark(spark, ds)
     out = run_blocker(
         spark, a, b,
@@ -56,11 +50,6 @@ def run(
     baseline = row("blocking only (6b)", out["candidates"], None)
     rows = [baseline]
     for label, kw in MB_CONFIGS:
-        cands = meta_blocking.meta_blocking(
-            out["blocks"],
-            entropies=out["entropies"],
-            pruning=pruning,
-            **kw,
-        )
+        cands = meta_blocking.meta_blocking(out["blocks"], entropies=out["entropies"], **kw)
         rows.append(row(label, cands, baseline["candidates"]))
     return rows

@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.clusterer import cluster_entities
-from repro.core.pipeline import BlockerConfig, run_blocker
+from repro.core.pipeline import BlockerConfig, run_pipeline
 from repro.data import er_synth
 from repro.debug.evaluation import cluster_pair_metrics, pair_metrics
 from repro.matching.matcher import (
@@ -22,7 +22,6 @@ from repro.matching.matcher import (
     threshold_matcher,
     train_logistic,
 )
-from repro.matching.similarity import add_similarities
 
 SWEEP: list[tuple[str, str, float]] = [
     ("jaccard @ 0.30", "jaccard", 0.30),
@@ -33,21 +32,11 @@ SWEEP: list[tuple[str, str, float]] = [
 ]
 
 
-def run(
-    spark: SparkSession,
-    *,
-    n_entities: int = 1500,
-    seed: int = 7,
-    train_frac: float = 0.3,
-) -> list[dict]:
+def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
     """One row per matcher configuration (threshold sweep + supervised)."""
-    ds = er_synth.generate(n_entities=n_entities, seed=seed)
+    ds = er_synth.generate(n_entities=n_entities)
     a, b, gt = er_synth.to_spark(spark, ds)
-    out = run_blocker(spark, a, b, BlockerConfig())
-    sims = add_similarities(
-        out["candidates"], out["tokens"], out["profiles"],
-        name_attrs=["1.name", "2.title"],
-    ).localCheckpoint(eager=True)
+    sims = run_pipeline(spark, a, b, BlockerConfig())["similarities"]
 
     rows = []
 
@@ -76,7 +65,7 @@ def run(
         .fillna({"label": 0})
         .toPandas()
     )
-    train = labeled.sample(frac=train_frac, random_state=seed)
+    train = labeled.sample(frac=0.3, random_state=7)
     model = train_logistic(train)
     add_row("logistic (supervised)", logistic_matcher(sims, model))
     return rows

@@ -24,13 +24,12 @@ def run(
     spark: SparkSession,
     *,
     n_entities: int = 1500,
-    seed: int = 7,
     size_mults: tuple[int, ...] = (1, 2, 4),
 ) -> list[dict]:
     """One row per dataset size."""
     rows = []
     for mult in size_mults:
-        ds = er_synth.generate(n_entities=n_entities, seed=seed, size_mult=mult)
+        ds = er_synth.generate(n_entities=n_entities, size_mult=mult)
         a, b, gt = er_synth.to_spark(spark, ds)
         n_a, n_b = len(ds.source_a), len(ds.source_b)
         t0 = time.perf_counter()

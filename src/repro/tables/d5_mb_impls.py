@@ -20,25 +20,15 @@ from repro.data import er_synth
 from repro.debug.evaluation import pair_metrics
 
 
-def run(
-    spark: SparkSession,
-    *,
-    n_entities: int = 1500,
-    seed: int = 7,
-    scheme: str = "chi2",
-    use_entropy: bool = True,
-    pruning: str = "wnp",
-) -> list[dict]:
-    """Two rows: DataFrame-native vs broadcast-index implementation."""
-    ds = er_synth.generate(n_entities=n_entities, seed=seed)
+def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
+    """Two rows: DataFrame-native vs broadcast-index implementation, both
+    χ²·entropy weights with WNP pruning (the 6e configuration)."""
+    ds = er_synth.generate(n_entities=n_entities)
     a, b, gt = er_synth.to_spark(spark, ds)
     out = run_blocker(
         spark, a, b, BlockerConfig(lsh_threshold=0.3, run_meta_blocking=False)
     )
-    kw = dict(
-        scheme=scheme, use_entropy=use_entropy,
-        entropies=out["entropies"], pruning=pruning,
-    )
+    kw = dict(scheme="chi2", use_entropy=True, entropies=out["entropies"])
 
     t0 = time.perf_counter()
     df_cands = meta_blocking(out["blocks"], **kw).localCheckpoint(eager=True)

@@ -1,4 +1,4 @@
-"""DuckDB correctness oracle.
+"""Test oracles: a DuckDB query runner and a Spark block-size recount.
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
@@ -10,10 +10,14 @@ collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
+
+``block_sizes(blocks)`` recounts ``(key, size)`` from block assignments,
+for the tests of the ``size`` column that blocking carries.
 """
 import duckdb
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -41,3 +45,8 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
     )
+
+
+def block_sizes(blocks: DataFrame) -> DataFrame:
+    """``(key, size)`` — number of distinct profiles per block."""
+    return blocks.groupBy("key").agg(F.countDistinct("pid").alias("size"))

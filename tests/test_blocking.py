@@ -3,13 +3,12 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.blocking import (
-    block_sizes,
     candidate_pairs,
     loose_schema_blocking,
     token_blocking,
 )
 from repro.looseschema.partitioning import manual_partition
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent, block_sizes
 
 
 def _blocks_dict(blocks) -> dict[str, set[int]]:
@@ -75,7 +74,7 @@ class TestLooseSchemaBlocking:
 
     @pytest.fixture(scope="class")
     def loose_blocks(self, toy_tokens, partition):
-        return loose_schema_blocking(toy_tokens, partition).localCheckpoint(eager=True)
+        return loose_schema_blocking(toy_tokens.join(partition, "attribute")).localCheckpoint(eager=True)
 
     def test_simonini_disambiguated(self, loose_blocks):
         """Fig 2(b): the author Simonini (cluster 2) separates from the

@@ -43,7 +43,7 @@ class TestFigure2Entropy:
             toy_tokens.select("attribute"),
             {"1.name": 1, "2.title": 1, "1.authors": 2, "2.author": 2},
         )
-        blocks = loose_schema_blocking(toy_tokens, part).localCheckpoint(eager=True)
+        blocks = loose_schema_blocking(toy_tokens.join(part, "attribute")).localCheckpoint(eager=True)
         entropies = spark.createDataFrame(
             [(0, 0.2, 0.25), (1, 0.4, 0.5), (2, 0.8, 1.0)],
             ["cluster", "entropy", "entropy_norm"],

@@ -9,7 +9,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.data import er_synth
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 class TestOracleSelf:

@@ -3,6 +3,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.blocking import candidate_pairs
+from repro.core.meta_blocking import meta_blocking
 from repro.core.pipeline import BlockerConfig, run_blocker, run_pipeline
 from repro.debug.evaluation import cluster_pair_metrics, pair_metrics
 
@@ -69,6 +70,52 @@ def test_pid_collision_across_sources_raises(spark):
     b = spark.createDataFrame([(1, "sony tv"), (3, "nikon camera")], ["id", "title"])
     with pytest.raises(ValueError, match="1 profile ids occur in both sources"):
         run_blocker(spark, a, b, BlockerConfig())
+
+
+def test_pid_repeated_within_a_source_raises(spark):
+    """Two rows of source A share id 1: they would merge into one profile."""
+    a = spark.createDataFrame([(1, "sony tv"), (1, "canon camera")], ["id", "name"])
+    b = spark.createDataFrame([(3, "sony tv"), (4, "nikon camera")], ["id", "title"])
+    with pytest.raises(ValueError, match="1 profile ids repeat within a source"):
+        run_blocker(spark, a, b, BlockerConfig())
+
+
+def test_null_pid_raises(spark):
+    """A null id would become a profile with a null pid whose tokens block."""
+    a = spark.createDataFrame([(None, "sony tv"), (2, "canon camera")], "id long, name string")
+    b = spark.createDataFrame([(3, "sony tv"), (4, "nikon camera")], ["id", "title"])
+    with pytest.raises(ValueError, match="1 profile ids are null"):
+        run_blocker(spark, a, b, BlockerConfig())
+
+
+def test_blast_c_reaches_meta_blocking(spark, er):
+    """``BlockerConfig.blast_c`` is the BLAST pruning constant the Blocker
+    uses: its candidates are meta-blocking's with that constant, and a
+    larger constant keeps fewer pairs."""
+    out = run_blocker(spark, er[0], er[1], BlockerConfig(pruning="blast", blast_c=0.5))
+
+    def direct(c):
+        cands = meta_blocking(
+            out["blocks"], scheme="chi2", use_entropy=True, entropies=out["entropies"],
+            pruning="blast", blast_c=c,
+        )
+        return {(r["p1"], r["p2"]) for r in cands.collect()}
+
+    got = {(r["p1"], r["p2"]) for r in out["candidates"].collect()}
+    assert got == direct(0.5)
+    assert got < direct(0.35)
+
+
+def test_blocker_job_budget(spark, er):
+    """The default Blocker, id check included, runs at most 35 Spark jobs
+    on the test dataset."""
+    sc = spark.sparkContext
+    sc.setJobGroup("blocker-budget", "default run_blocker")
+    try:
+        run_blocker(spark, er[0], er[1], BlockerConfig())
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup("blocker-budget")) <= 35
 
 
 class TestFullPipeline:

@@ -4,7 +4,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.profiles import attr_name, load_clean_clean, to_profiles
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,10 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.blocking import block_sizes, candidate_pairs, token_blocking
+from repro.core.blocking import candidate_pairs, token_blocking
 from repro.core.filtering import filter_blocks
 from repro.core.purging import purge_blocks
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent, block_sizes
 
 
 def _with_sizes(blocks):

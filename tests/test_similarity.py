@@ -7,13 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.core.profiles import load_clean_clean
 from repro.core.tokens import tokenize
-from repro.matching.similarity import (
-    add_similarities,
-    cosine_tfidf,
-    jaccard,
-    levenshtein_norm,
-    name_values,
-)
+from repro.matching.similarity import add_similarities, name_values
 
 
 @pytest.fixture(scope="module")
@@ -49,38 +43,45 @@ def _pairs(spark, *pairs):
     return spark.createDataFrame(list(pairs), ["p1", "p2"])
 
 
+def _features(spark, tokens, profiles, *pairs):
+    """``add_similarities`` of ``pairs``, with 1.name and 2.title as names."""
+    return add_similarities(
+        _pairs(spark, *pairs), tokens, profiles, name_attrs=["1.name", "2.title"]
+    )
+
+
 class TestJaccard:
-    def test_identical_token_sets(self, spark, sim_tokens):
-        [r] = jaccard(_pairs(spark, (1, 11)), sim_tokens).collect()
+    def test_identical_token_sets(self, spark, sim_tokens, sim_profiles):
+        [r] = _features(spark, sim_tokens, sim_profiles, (1, 11)).collect()
         assert r["jaccard"] == pytest.approx(1.0)
 
-    def test_disjoint(self, spark, sim_tokens):
-        [r] = jaccard(_pairs(spark, (3, 13)), sim_tokens).collect()
+    def test_disjoint(self, spark, sim_tokens, sim_profiles):
+        [r] = _features(spark, sim_tokens, sim_profiles, (3, 13)).collect()
         assert r["jaccard"] == 0.0
 
-    def test_partial_overlap(self, spark, sim_tokens):
+    def test_partial_overlap(self, spark, sim_tokens, sim_profiles):
         # p2: {delta, epsilon, unique, stuff}; p12: {delta, epsilonx,
         # other, things} -> 1 shared of 7 distinct.
-        [r] = jaccard(_pairs(spark, (2, 12)), sim_tokens).collect()
+        [r] = _features(spark, sim_tokens, sim_profiles, (2, 12)).collect()
         assert r["jaccard"] == pytest.approx(1 / 7)
 
-    def test_multiple_pairs_at_once(self, spark, sim_tokens):
-        got = jaccard(_pairs(spark, (1, 11), (3, 13)), sim_tokens)
+    def test_multiple_pairs_at_once(self, spark, sim_tokens, sim_profiles):
+        got = _features(spark, sim_tokens, sim_profiles, (1, 11), (3, 13))
         assert got.count() == 2
 
 
 class TestCosine:
-    def test_identical_profiles_score_one(self, spark, sim_tokens):
-        [r] = cosine_tfidf(_pairs(spark, (1, 11)), sim_tokens).collect()
+    def test_identical_profiles_score_one(self, spark, sim_tokens, sim_profiles):
+        [r] = _features(spark, sim_tokens, sim_profiles, (1, 11)).collect()
         assert r["cosine"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_disjoint_profiles_score_zero(self, spark, sim_tokens):
-        [r] = cosine_tfidf(_pairs(spark, (3, 13)), sim_tokens).collect()
+    def test_disjoint_profiles_score_zero(self, spark, sim_tokens, sim_profiles):
+        [r] = _features(spark, sim_tokens, sim_profiles, (3, 13)).collect()
         assert r["cosine"] == 0.0
 
-    def test_between_zero_and_one(self, spark, sim_tokens):
-        rows = cosine_tfidf(
-            _pairs(spark, (1, 11), (2, 12), (3, 13), (1, 12)), sim_tokens
+    def test_between_zero_and_one(self, spark, sim_tokens, sim_profiles):
+        rows = _features(
+            spark, sim_tokens, sim_profiles, (1, 11), (2, 12), (3, 13), (1, 12)
         ).collect()
         assert all(0 <= r["cosine"] <= 1 + 1e-9 for r in rows)
 
@@ -97,30 +98,24 @@ class TestCosine:
         toks = tokenize(prof)
         got = {
             (r["p1"], r["p2"]): r["cosine"]
-            for r in cosine_tfidf(_pairs(spark, (1, 11), (2, 12)), toks).collect()
+            for r in _features(spark, toks, prof, (1, 11), (2, 12)).collect()
         }
         assert got[(1, 11)] > got[(2, 12)]
 
 
 class TestLevenshtein:
-    def test_equal_names(self, spark, sim_profiles):
-        [r] = levenshtein_norm(
-            _pairs(spark, (1, 11)), sim_profiles, ["1.name", "2.title"]
-        ).collect()
+    def test_equal_names(self, spark, sim_tokens, sim_profiles):
+        [r] = _features(spark, sim_tokens, sim_profiles, (1, 11)).collect()
         assert r["lev_norm"] == pytest.approx(1.0)
 
-    def test_one_char_difference(self, spark, sim_profiles):
+    def test_one_char_difference(self, spark, sim_tokens, sim_profiles):
         # "delta epsilon" vs "delta epsilonx": 1 edit over max len 14.
-        [r] = levenshtein_norm(
-            _pairs(spark, (2, 12)), sim_profiles, ["1.name", "2.title"]
-        ).collect()
+        [r] = _features(spark, sim_tokens, sim_profiles, (2, 12)).collect()
         assert r["lev_norm"] == pytest.approx(1 - 1 / 14)
 
-    def test_missing_name_scores_zero(self, spark, sim_profiles):
+    def test_missing_name_scores_zero(self, spark, sim_tokens, sim_profiles):
         # p13 has no title value.
-        [r] = levenshtein_norm(
-            _pairs(spark, (3, 13)), sim_profiles, ["1.name", "2.title"]
-        ).collect()
+        [r] = _features(spark, sim_tokens, sim_profiles, (3, 13)).collect()
         assert r["lev_norm"] == 0.0
 
     def test_name_values_picks_first_available(self, spark, sim_profiles):
@@ -228,14 +223,3 @@ class TestAgainstReference:
             assert jac == rjac, pair
             assert lev == rlev, pair
             assert abs(cos - rcos) <= 1e-9, pair
-
-    def test_single_features_are_columns_of_add_similarities(
-        self, pipeline_out, cand_pairs
-    ):
-        sims = add_similarities(
-            cand_pairs, pipeline_out["tokens"], pipeline_out["profiles"],
-            name_attrs=self.NAME_ATTRS,
-        ).localCheckpoint(eager=True)
-        for fn, col in [(jaccard, "jaccard"), (cosine_tfidf, "cosine")]:
-            got = sorted(map(tuple, fn(cand_pairs, pipeline_out["tokens"]).collect()))
-            assert got == sorted(map(tuple, sims.select("p1", "p2", col).collect()))

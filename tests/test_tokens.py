@@ -5,7 +5,7 @@ from pyspark.sql import functions as F
 
 from repro.core.profiles import to_profiles
 from repro.core.tokens import tokenize
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 def _tok(spark, value: str, min_len: int = 2) -> set[str]:

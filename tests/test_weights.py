@@ -6,7 +6,7 @@ from pyspark.sql import functions as F
 
 from repro.core.meta_blocking import build_graph
 from repro.core.weights import REL_TOL, keep, weight_col, weight_np
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 class TestNumpyFormulas:

@@ -8,13 +8,14 @@ assignment:
     pid: long, source: int
     size: long   -- distinct profiles in the block; filtering drops it
 
-Blocks that cannot generate a clean-clean comparison (fewer than two
-profiles, or all profiles from one source) are dropped eagerly — they can
-never contribute a candidate pair. That aggregation also yields ``size``.
+Blocks that cannot generate a clean-clean comparison (all profiles from
+one source, which includes every one-profile block) are dropped eagerly —
+they can never contribute a candidate pair. The same window over the key
+that finds them also yields ``size``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.looseschema.partitioning import BLOB_CLUSTER
@@ -22,13 +23,24 @@ from repro.looseschema.partitioning import BLOB_CLUSTER
 
 def _prune_useless(blocks: DataFrame) -> DataFrame:
     """Drop blocks that cannot produce any cross-source comparison and
-    attach the ``size`` of the blocks that stay."""
-    stats = blocks.groupBy("key").agg(
-        F.countDistinct("pid").alias("size"),
-        F.countDistinct("source").alias("n_sources"),
+    attach the ``size`` of the blocks that stay.
+
+    One window over the key: ``size`` is its row count and a block stays
+    iff it holds both sources. That is exact because ``blocks`` has one
+    row per (key, pid), as the blocking functions' ``distinct`` makes it,
+    and a pid belongs to one source only, which ``run_blocker`` enforces:
+    rows are then distinct profiles, and two sources imply two profiles.
+    """
+    w = Window.partitionBy("key")
+    return (
+        blocks.select(
+            "*",
+            F.count(F.lit(1)).over(w).alias("size"),
+            (F.min("source").over(w) != F.max("source").over(w)).alias("useful"),
+        )
+        .where("useful")
+        .drop("useful")
     )
-    kept = stats.where((F.col("size") >= 2) & (F.col("n_sources") == 2))
-    return blocks.join(kept.select("key", "size"), "key")
 
 
 def token_blocking(tokens: DataFrame) -> DataFrame:

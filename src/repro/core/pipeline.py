@@ -53,6 +53,13 @@ class BlockerConfig:
     cnp_k: int = 10
     manual_clusters: dict[str, int] | None = field(default=None)
 
+    def __post_init__(self) -> None:
+        if self.manual_clusters is not None and not self.loose_schema:
+            raise ValueError(
+                "manual_clusters needs loose_schema=True; schema-agnostic "
+                "blocking has no attribute clusters"
+            )
+
 
 def _count_profiles(source_a: DataFrame, source_b: DataFrame, profiles: DataFrame) -> int:
     """The number of profiles (pids with a value in ``profiles``), in one
@@ -98,7 +105,8 @@ def run_blocker(
 
     Keys: profiles, tokens, attr_clusters, entropies, blocks_raw,
     blocks_purged, blocks, candidates (post-meta-blocking when enabled,
-    else the post-filtering comparisons).
+    else the post-filtering comparisons), n_profiles (the number of
+    profiles, an int).
     """
     profiles = _mat(load_clean_clean(source_a, source_b))
     n_profiles = _count_profiles(source_a, source_b, profiles)
@@ -116,7 +124,8 @@ def run_blocker(
         tagged = tokens.join(F.broadcast(attr_clusters), "attribute")
         blocks_raw = blocking.loose_schema_blocking(tagged)
         if cfg.use_entropy:
-            entropies = _mat(entropy_mod.cluster_entropies(tagged.select("cluster", "token")))
+            # k rows, one per cluster, built on the driver: nothing to checkpoint
+            entropies = entropy_mod.cluster_entropies(tagged.select("cluster", "token"))
     else:
         blocks_raw = blocking.token_blocking(tokens)
 

@@ -10,15 +10,18 @@ cluster that generated the block.
 Entropies are normalized to (0, 1] by the maximum cluster entropy so the
 re-weighting rescales rather than changes units; a degenerate collection
 where every cluster has zero entropy normalizes to 1.0 everywhere (no-op).
+Spark computes the entropies; the k cluster rows are then collected and
+normalized on the driver, and the returned table is built there.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
 def cluster_entropies(tokens_with_cluster: DataFrame) -> DataFrame:
-    """Shannon entropy per cluster; returns ``(cluster, entropy, entropy_norm)``.
+    """Shannon entropy per cluster; returns ``(cluster, entropy, entropy_norm)``,
+    a table built on the driver.
 
     Input must carry ``(cluster, token)`` rows — one per token *occurrence
     assignment* (pid, attribute, token), i.e. the tokenizer output joined
@@ -39,9 +42,9 @@ def cluster_entropies(tokens_with_cluster: DataFrame) -> DataFrame:
         .otherwise(F.lit(0.0))
         .alias("entropy"),
     )
-    m = F.max("entropy").over(Window.partitionBy())  # over the k cluster rows
-    return ent.select(
-        "cluster",
-        "entropy",
-        F.when(m > 0, F.col("entropy") / m).otherwise(F.lit(1.0)).alias("entropy_norm"),
+    rows = ent.collect()  # one row per cluster
+    m = max((r["entropy"] for r in rows), default=0.0)
+    return tokens_with_cluster.sparkSession.createDataFrame(
+        [(r["cluster"], r["entropy"], r["entropy"] / m if m > 0 else 1.0) for r in rows],
+        "cluster int, entropy double, entropy_norm double",
     )

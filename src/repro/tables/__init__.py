@@ -2,6 +2,7 @@
 
 The paper is a demo paper without numbered tables; each module here
 reproduces the measurable quantities of one demo claim (Figure 6 et al.)
-and returns plain row dicts. ``jobs/*.py`` wrap these for spark-submit,
-``benchmarks/`` time them, and EXPERIMENTS.md records paper-vs-measured.
+and returns plain row dicts. ``jobs/run_table.py`` prints them (the
+committed tables are in ``benchmarks/results/``), and EXPERIMENTS.md
+records paper-vs-measured.
 """

@@ -30,20 +30,26 @@ SWEEP: list[tuple[str, str, float]] = [
     ("cosine @ 0.50", "cosine", 0.50),
     ("levenshtein @ 0.60", "lev_norm", 0.60),
 ]
+# The sweep row whose matcher ``run_pipeline`` runs: its matches and
+# clusters are the pipeline's own.
+PIPELINE_ROW = 2
 
 
 def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
     """One row per matcher configuration (threshold sweep + supervised)."""
     ds = er_synth.generate(n_entities=n_entities)
     a, b, gt = er_synth.to_spark(spark, ds)
-    sims = run_pipeline(spark, a, b, BlockerConfig())["similarities"]
+    _, feature, threshold = SWEEP[PIPELINE_ROW]
+    out = run_pipeline(
+        spark, a, b, BlockerConfig(), match_feature=feature, match_threshold=threshold
+    )
+    sims = out["similarities"]
 
     rows = []
 
-    def add_row(label: str, matches) -> None:
-        matches = matches.localCheckpoint(eager=True)
+    def add_row(label: str, matches, clusters) -> None:
         mm = pair_metrics(matches, gt)
-        cm = cluster_pair_metrics(cluster_entities(matches), gt)
+        cm = cluster_pair_metrics(clusters, gt)
         rows.append({
             "matcher": label,
             "matches": mm.n_pairs,
@@ -55,8 +61,16 @@ def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
             "cluster_f1": cm.f1,
         })
 
-    for label, feature, threshold in SWEEP:
-        add_row(label, threshold_matcher(sims, feature=feature, threshold=threshold))
+    def clustered(matches):
+        """``matches``, materialized, and their clusters."""
+        matches = matches.localCheckpoint(eager=True)
+        return matches, cluster_entities(matches)
+
+    for i, (label, feature, threshold) in enumerate(SWEEP):
+        if i == PIPELINE_ROW:
+            add_row(label, out["matches"], out["clusters"])
+        else:
+            add_row(label, *clustered(threshold_matcher(sims, feature=feature, threshold=threshold)))
 
     # Supervised mode: label a sample of candidates from the ground truth
     # (standing in for the user's manual labels), train, score everything.
@@ -67,5 +81,5 @@ def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
     )
     train = labeled.sample(frac=0.3, random_state=7)
     model = train_logistic(train)
-    add_row("logistic (supervised)", logistic_matcher(sims, model))
+    add_row("logistic (supervised)", *clustered(logistic_matcher(sims, model)))
     return rows

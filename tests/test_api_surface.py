@@ -20,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 FILES = [
-    p for d in ("src", "jobs", "benchmarks", "perfbench", "tests") for p in sorted((ROOT / d).rglob("*.py"))
+    p for d in ("src", "jobs", "perfbench", "tests") for p in sorted((ROOT / d).rglob("*.py"))
 ] + [ROOT / "conftest.py"]
 
 

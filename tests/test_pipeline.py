@@ -88,6 +88,15 @@ def test_null_pid_raises(spark):
         run_blocker(spark, a, b, BlockerConfig())
 
 
+def test_manual_clusters_without_loose_schema_raises():
+    """Schema-agnostic blocking has no attribute clusters, so a manual
+    partition would be ignored: the config is rejected before any Spark
+    job. Entropy without loose schema stays allowed (it is skipped)."""
+    with pytest.raises(ValueError, match="manual_clusters needs loose_schema=True"):
+        BlockerConfig(loose_schema=False, manual_clusters={"1.name": 1, "2.title": 1})
+    BlockerConfig(loose_schema=False, use_entropy=True)
+
+
 def test_blast_c_reaches_meta_blocking(spark, er):
     """``BlockerConfig.blast_c`` is the BLAST pruning constant the Blocker
     uses: its candidates are meta-blocking's with that constant, and a
@@ -106,16 +115,21 @@ def test_blast_c_reaches_meta_blocking(spark, er):
     assert got < direct(0.35)
 
 
-def test_blocker_job_budget(spark, er):
-    """The default Blocker, id check included, runs at most 35 Spark jobs
-    on the test dataset."""
+@pytest.mark.parametrize("cfg, budget", [
+    (BlockerConfig(), 31),
+    (BlockerConfig(loose_schema=False), 20),
+], ids=["loose-schema", "schema-agnostic"])
+def test_blocker_job_budget(spark, er, cfg, budget):
+    """The Blocker, id check included, runs at most ``budget`` Spark jobs
+    on the test dataset in each blocking mode."""
     sc = spark.sparkContext
-    sc.setJobGroup("blocker-budget", "default run_blocker")
+    group = f"blocker-budget-loose{int(cfg.loose_schema)}"
+    sc.setJobGroup(group, "run_blocker")
     try:
-        run_blocker(spark, er[0], er[1], BlockerConfig())
+        run_blocker(spark, er[0], er[1], cfg)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert len(sc.statusTracker().getJobIdsForGroup("blocker-budget")) <= 35
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= budget
 
 
 class TestFullPipeline:

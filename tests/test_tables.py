@@ -2,7 +2,7 @@
 
 Each table's *shape claims* (which config wins, direction of changes) are
 asserted here at reduced scale; EXPERIMENTS.md records the full-scale
-numbers produced by the benchmarks.
+numbers that `jobs/run_table.py` prints into `benchmarks/results/`.
 """
 import pytest
 

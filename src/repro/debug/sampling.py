@@ -10,13 +10,15 @@ over the profile ids sorted by pid, so the sample depends only on the
 data and ``seed``, not on how Spark partitions or orders the rows. The
 driver holds one int64 per profile and the seeds' token sets (K
 profiles). Only the token overlap of the seeds with every other-source
-profile runs in Spark, as one broadcast join. The sample is returned as
-a frame over the driver's rows, so reading it again re-runs none of the
-draw.
+profile runs in Spark, as one broadcast join. The seeds' token table and
+the returned sample are built from pandas columns over sorted, distinct
+rows, so Spark receives them as Arrow batches: no Python worker runs for
+a job that reads them, and reading the sample again runs no job at all.
 """
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
@@ -52,12 +54,12 @@ def debug_sample(
 
     seed_tokens = (
         tokens.where(F.col("pid").isin(seeds.tolist()))
-        .select("pid", "source", "token")
-        .collect()
+        .select(F.col("pid").alias("seed_pid"), F.col("source").alias("seed_source"), "token")
+        .toPandas()
+        .drop_duplicates()
+        .sort_values(["seed_pid", "seed_source", "token"], ignore_index=True)
     )
-    t_seed = spark.createDataFrame(
-        list(set(seed_tokens)), "seed_pid long, seed_source int, token string"
-    )
+    t_seed = spark.createDataFrame(seed_tokens, "seed_pid long, seed_source int, token string")
     w = Window.partitionBy("seed_pid").orderBy(F.desc("shared"), F.asc("pid"))
     likely = (
         tokens.join(F.broadcast(t_seed), "token")
@@ -77,7 +79,9 @@ def debug_sample(
         **dict.fromkeys(randoms.tolist(), "random"),
         **dict.fromkeys((r["pid"] for r in likely), "likely"),
     }
-    return spark.createDataFrame(sorted(reason.items()), "pid long, reason string")
+    return spark.createDataFrame(
+        pd.DataFrame(sorted(reason.items()), columns=["pid", "reason"]), "pid long, reason string"
+    )
 
 
 def restrict_to_sample(df: DataFrame, sample: DataFrame, *, cols: tuple[str, ...] = ("pid",)) -> DataFrame:

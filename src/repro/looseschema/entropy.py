@@ -11,7 +11,9 @@ Entropies are normalized to (0, 1] by the maximum cluster entropy so the
 re-weighting rescales rather than changes units; a degenerate collection
 where every cluster has zero entropy normalizes to 1.0 everywhere (no-op).
 Spark computes the entropies; the k cluster rows are then collected and
-normalized on the driver, and the returned table is built there.
+normalized on the driver, and the returned table is built there from
+pandas columns, so Spark receives it as Arrow batches and no Python
+worker runs for a job that reads it.
 """
 from __future__ import annotations
 
@@ -42,9 +44,9 @@ def cluster_entropies(tokens_with_cluster: DataFrame) -> DataFrame:
         .otherwise(F.lit(0.0))
         .alias("entropy"),
     )
-    rows = ent.collect()  # one row per cluster
-    m = max((r["entropy"] for r in rows), default=0.0)
+    pdf = ent.toPandas()  # one row per cluster
+    m = pdf["entropy"].max()  # NaN when there is no cluster
+    pdf["entropy_norm"] = pdf["entropy"] / m if m > 0 else 1.0
     return tokens_with_cluster.sparkSession.createDataFrame(
-        [(r["cluster"], r["entropy"], r["entropy"] / m if m > 0 else 1.0) for r in rows],
-        "cluster int, entropy double, entropy_norm double",
+        pdf, "cluster int, entropy double, entropy_norm double"
     )

@@ -15,6 +15,8 @@ Pipeline, as described in the paper:
 Only the MinHash signatures are computed in Spark. Steps 1-3 work on one
 row per attribute (a handful here, about 10⁵ at Blast's DBpedia scale),
 so they run in numpy on the driver over the collected signature matrix.
+The partition table is built there from pandas columns: Spark receives
+it as Arrow batches, so no Python worker runs for a job that reads it.
 
 A ``manual`` override lets the demo's supervised mode (Figure 6c) replace
 the learned partition with a user-drawn one.
@@ -22,6 +24,7 @@ the learned partition with a user-drawn one.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.graph.connected_components import connected_components
@@ -88,7 +91,7 @@ def partition_attributes(
     sim = minhash.estimated_similarity(sig, pairs)
     cluster = closure(len(attrs), *best_partners(pairs, sim, threshold))
     return tokens.sparkSession.createDataFrame(
-        list(zip(attrs, cluster.tolist())), "attribute string, cluster int"
+        pd.DataFrame({"attribute": attrs, "cluster": cluster}), "attribute string, cluster int"
     )
 
 
@@ -105,6 +108,7 @@ def manual_partition(
     per distinct attribute in name order.
     """
     names = sorted(r["attribute"] for r in attributes.select("attribute").distinct().collect())
+    cluster = [int(clusters.get(a, BLOB_CLUSTER)) for a in names]
     return spark.createDataFrame(
-        [(a, int(clusters.get(a, BLOB_CLUSTER))) for a in names], "attribute string, cluster int"
+        pd.DataFrame({"attribute": names, "cluster": cluster}), "attribute string, cluster int"
     )

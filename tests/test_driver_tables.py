@@ -1,0 +1,49 @@
+"""Tables built on the driver reach Spark as Arrow batches.
+
+The attribute partition, the cluster entropies, the debug sample and the
+entity clusters are built from pandas columns, so Spark receives them as
+Arrow batches and no Python worker has to unpickle their rows for a job
+that reads them. A zero-row input still gives a zero-row table with the
+documented schema.
+"""
+import pytest
+from pyspark.sql import functions as F
+
+from repro.core.clusterer import cluster_entities
+from repro.debug.sampling import debug_sample
+from repro.looseschema.entropy import cluster_entropies
+from repro.looseschema.partitioning import manual_partition, partition_attributes
+
+SCHEMAS = {
+    "partition_attributes": "struct<attribute:string,cluster:int>",
+    "manual_partition": "struct<attribute:string,cluster:int>",
+    "cluster_entropies": "struct<cluster:int,entropy:double,entropy_norm:double>",
+    "debug_sample": "struct<pid:bigint,reason:string>",
+    "cluster_entities": "struct<pid:bigint,entity:bigint>",
+}
+
+
+def _build(name, spark, profiles, tokens, matches):
+    if name == "partition_attributes":
+        return partition_attributes(tokens)
+    if name == "manual_partition":
+        return manual_partition(spark, tokens.select("attribute"), {"1.name": 1, "2.title": 1})
+    if name == "cluster_entropies":
+        return cluster_entropies(tokens.select(F.col("source").alias("cluster"), "token"))
+    if name == "debug_sample":
+        return debug_sample(profiles, tokens, big_k=10, small_k=4, seed=9)
+    return cluster_entities(matches)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_no_python_rdd_behind_table(name, spark, profiles, tokens, blocker_out):
+    df = _build(name, spark, profiles, tokens, blocker_out["candidates"])
+    assert df.count() > 0
+    assert "PythonRDD" not in df._jdf.queryExecution().toRdd().toDebugString()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_empty_input_gives_empty_table(name, spark, profiles, tokens, blocker_out):
+    df = _build(name, spark, profiles.limit(0), tokens.limit(0), blocker_out["candidates"].limit(0))
+    assert df.schema.simpleString() == SCHEMAS[name]
+    assert df.collect() == []

@@ -1,17 +1,23 @@
 """Tests for the tokenizer."""
 import pandas as pd
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.core.profiles import to_profiles
-from repro.core.tokens import tokenize
+from repro.core.tokens import TOKEN_SPLIT_RE, tokenize
 from tests.oracle import assert_equivalent
 
 
+def _profiles(spark, values: list[str]):
+    return to_profiles(
+        spark.createDataFrame(pd.DataFrame({"id": range(len(values)), "v": values})), source=1
+    )
+
+
 def _tok(spark, value: str, min_len: int = 2) -> set[str]:
-    df = spark.createDataFrame(pd.DataFrame({"id": [1], "v": [value]}))
-    p = to_profiles(df, source=1)
-    return {r["token"] for r in tokenize(p, min_len=min_len).collect()}
+    return {r["token"] for r in tokenize(_profiles(spark, [value]), min_len=min_len).collect()}
 
 
 @pytest.mark.parametrize(
@@ -78,3 +84,49 @@ class TestOnDataset:
             ) WHERE length(token) >= 2
         """
         assert_equivalent(got, sql, profiles=toy_profiles)
+
+
+def _pairs(df) -> set[tuple[int, str]]:
+    return {(r["pid"], r["token"]) for r in df.select("pid", "token").collect()}
+
+
+def _lower_reference(profiles, min_len: int):
+    """The tokenizer with Spark's full Unicode ``lower`` as its case fold."""
+    token = F.explode(F.split(F.lower("value"), TOKEN_SPLIT_RE)).alias("token")
+    return profiles.select("pid", token).where(F.length("token") >= min_len)
+
+
+class TestCaseFoldEqualsLower:
+    """The tokenizer's ASCII case fold gives the same tokens as ``lower``.
+
+    ``min_len=1`` so that a single stray letter would show.
+    """
+
+    def test_every_bmp_code_point_between_letters(self, spark):
+        points = [c for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]
+        p = _profiles(spark, [f"Ab{chr(c)}Cd" for c in points])
+        assert _pairs(tokenize(p, min_len=1)) == _pairs(_lower_reference(p, 1))
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        values=st.lists(
+            st.text(
+                # U+0130 İ and U+212A Kelvin lowercase to ASCII letters;
+                # the rest are case pairs, expansions and combining marks
+                # whose lowercase stays outside ASCII.
+                alphabet="aZkKiI09 -.\u0130\u0131\u212a\u212b\u03a3\u03c3\u03c2"
+                "\u00df\u1e9e\u0307\u0301\u01c5\ufb01\u00c9",
+                min_size=1,
+                max_size=16,
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_tricky_text(self, spark, values):
+        p = _profiles(spark, values)
+        assert _pairs(tokenize(p, min_len=1)) == _pairs(_lower_reference(p, 1))

@@ -32,6 +32,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.csr import offsets, ranges
 from repro.core.meta_blocking import PRUNINGS, check_options
 from repro.core.weights import keep, weight_np
 
@@ -53,11 +54,6 @@ class Index(NamedTuple):
     block_ent: np.ndarray  # block -> entropy of its cluster (1.0 without entropy)
 
 
-def _ptr(ids: np.ndarray, size: int) -> np.ndarray:
-    """CSR offsets of ``size`` groups, given each row's group id."""
-    return np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=size))))
-
-
 def _build_index(blocks: DataFrame, entropies: DataFrame | None) -> Index:
     """Collect the block assignments and build the broadcast index."""
     pdf = blocks.select("key", "cluster", "pid", "source").toPandas()
@@ -71,7 +67,7 @@ def _build_index(blocks: DataFrame, entropies: DataFrame | None) -> Index:
         ent = pdf["cluster"].map(dict(zip(epdf["cluster"], epdf["entropy_norm"])))
         ent = ent.fillna(1.0).to_numpy(np.float64)
     n, n_blocks = len(pids), len(first)
-    node_ptr, block_ptr = _ptr(node, n), _ptr(block, n_blocks)
+    node_ptr, block_ptr = offsets(node, n), offsets(block, n_blocks)
     block_mid = block_ptr[:-1] + np.bincount(block[src == 1], minlength=n_blocks)
     # the rows are sorted by (pid, key), so `block` lists each node's blocks in order
     return Index(pids, src[node_ptr[:-1]], np.diff(node_ptr), node_ptr, block,
@@ -86,9 +82,7 @@ def _neighborhood(u: int, idx: Index, *, scheme: str, use_entropy: bool):
     else:
         lo, hi = idx.block_ptr[bids], idx.block_mid[bids]
     lens = hi - lo
-    # positions lo[i] .. hi[i] - 1 of every block i, concatenated
-    pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-    nbrs, inv, cbs = np.unique(idx.members[pos], return_inverse=True, return_counts=True)
+    nbrs, inv, cbs = np.unique(idx.members[ranges(lo, hi)], return_inverse=True, return_counts=True)
     b1, b2 = (idx.b[u], idx.b[nbrs]) if idx.source[u] == 1 else (idx.b[nbrs], idx.b[u])
     ent = np.bincount(inv, np.repeat(idx.block_ent[bids], lens)) / cbs if use_entropy else None
     w = weight_np(scheme, cbs=cbs, b1=b1, b2=b2, n_blocks=len(idx.block_ent), ent=ent)

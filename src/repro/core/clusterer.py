@@ -40,15 +40,3 @@ def cluster_entities(matches: DataFrame) -> DataFrame:
         pd.DataFrame({"pid": pids, "entity": pids[root]}), "pid long, entity long"
     )
 
-
-def entity_pairs(clusters: DataFrame) -> DataFrame:
-    """All intra-cluster cross-pairs ``(p1, p2)`` with p1 < p2 — the pair
-    view of the final entities, used to score end-to-end quality."""
-    a = clusters.select(F.col("entity"), F.col("pid").alias("p1"))
-    b = clusters.select(F.col("entity"), F.col("pid").alias("p2"))
-    return (
-        a.join(b, "entity")
-        .where(F.col("p1") < F.col("p2"))
-        .select("p1", "p2")
-        .distinct()
-    )

@@ -89,7 +89,37 @@ def explain_lost_pair(lost: DataFrame, tokens: DataFrame) -> DataFrame:
 
 
 def cluster_pair_metrics(clusters: DataFrame, ground_truth: DataFrame) -> PairMetrics:
-    """End-to-end entity quality as pair metrics over intra-cluster pairs."""
-    from repro.core.clusterer import entity_pairs
-
-    return pair_metrics(entity_pairs(clusters), ground_truth)
+    """End-to-end entity quality as pair metrics over the intra-cluster
+    pairs ``(p1, p2)``, p1 < p2, counted on the driver without listing
+    them: a cluster of s profiles holds s(s−1)/2 pairs, and a distinct
+    ground-truth pair is true when p1 < p2 and both pids are in one
+    cluster. ``clusters`` needs columns (pid, entity); a row with a null
+    is ignored, and a pid under two entities raises ``ValueError``."""
+    cl = (
+        clusters.select(F.col("pid").cast("long"), F.col("entity").cast("long"))
+        .dropna()
+        .toPandas()
+        .drop_duplicates()
+    )
+    if cl["pid"].duplicated().any():
+        raise ValueError("clusters put a pid under two entities")
+    # Null ids are kept for n_gt (pair_metrics counts them) as flags
+    # beside a 0 placeholder, so the id columns stay exact int64.
+    p1, p2 = (F.col(c).cast("long") for c in ("p1", "p2"))
+    gt = (
+        ground_truth.select(
+            F.coalesce(p1, F.lit(0)).alias("p1"), F.coalesce(p2, F.lit(0)).alias("p2"),
+            p1.isNull().alias("null1"), p2.isNull().alias("null2"),
+        )
+        .toPandas()
+        .drop_duplicates()
+    )
+    n_gt = len(gt)
+    gt = gt[~(gt["null1"] | gt["null2"]) & (gt["p1"] < gt["p2"])]
+    both = gt.merge(cl.rename(columns={"pid": "p1"}), on="p1").merge(
+        cl.rename(columns={"pid": "p2"}), on="p2"
+    )
+    n_true = int((both["entity_x"] == both["entity_y"]).sum())
+    sizes = cl["entity"].value_counts().to_numpy()
+    n_pairs = int((sizes * (sizes - 1) // 2).sum())
+    return PairMetrics(n_pairs=n_pairs, n_gt=n_gt, n_true=n_true)

@@ -2,73 +2,114 @@
 
 SparkER delegates matching to "any existing tool" and demos Magellan's;
 the substitute here computes the classic string-similarity features that
-such tools use, in one pass over per-profile token maps (no per-pair
-UDF loops):
+such tools use (no per-pair UDF loops):
 
     jaccard   -- Jaccard of the profiles' full token sets
     cosine    -- cosine over TF-IDF token vectors
     lev_norm  -- normalized Levenshtein similarity of a designated
                  "name-like" attribute (Spark's built-in ``levenshtein``)
 
-Each profile is one row: its token → TF-IDF weight map, distinct-token
-count and norm. The pairs join that table once per side; the shared
-tokens are the ``array_intersect`` of the two maps' keys.
-``add_similarities`` decorates a candidate-pair DataFrame with all three.
+The tokens, the candidate pairs and the names are collected once. The
+driver builds a CSR index over the profiles' TF-IDF-weighted tokens and
+scores the distinct pairs in numpy, a fixed number of pairs at a time;
+the scored pairs reach Spark as one Arrow-backed frame, where
+``lev_norm`` is a projection of the two names. The driver holds 16 bytes
+per (profile, token) and the chunk's arrays (DESIGN.md, "Layering").
 """
 from __future__ import annotations
 
+from string import ascii_lowercase, ascii_uppercase
+from typing import NamedTuple
+
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
+
+from repro.core.csr import offsets, ranges
+
+# Pairs scored per numpy pass: the pass holds a few arrays as long as the
+# chunk's p2 token lists, so this bounds the driver's working memory.
+CHUNK_PAIRS = 1 << 16
 
 
-def _profile_vectors(tokens: DataFrame) -> DataFrame:
-    """``(pid, vec, n, norm)``, one row per profile in ``tokens``.
+class _TokenIndex(NamedTuple):
+    """TF-IDF vectors of the profiles in CSR form. Row ``r`` is profile
+    ``pids[r]``; its entries are ``keys[ptr[r]:ptr[r + 1]]``, sorted by
+    token id, with ``key = r·n_terms + token id`` and weights ``w``."""
 
-    TF counts each token once per (profile, attribute) — the tokenizer's
-    granularity; IDF = ln(N / df) over the N profiles in ``tokens``.
-    ``vec`` maps token → TF-IDF weight with entries sorted by token, so
-    the sums over it run in the same order on every evaluation.
-    """
-    n_profiles = tokens.select("pid").distinct().count()
-    tf = tokens.groupBy("pid", "token").agg(F.count(F.lit(1)).alias("tf"))
-    idf = F.log(F.lit(float(n_profiles)) / F.count(F.lit(1)).over(Window.partitionBy("token")))
-    entries = tf.select("pid", F.struct("token", (F.col("tf") * idf).alias("w")).alias("e"))
-    vec = F.map_from_entries(F.array_sort(F.collect_list("e")))
-    return entries.groupBy("pid").agg(vec.alias("vec")).select(
-        "pid",
-        "vec",
-        F.size("vec").alias("n"),
-        F.sqrt(F.aggregate(F.map_values("vec"), F.lit(0.0), lambda a, x: a + x * x)).alias("norm"),
-    )
+    pids: np.ndarray
+    ptr: np.ndarray
+    keys: np.ndarray
+    w: np.ndarray
+    norm: np.ndarray
+    n_terms: int
 
 
-def _join_sides(pairs: DataFrame, table: DataFrame) -> DataFrame:
-    """``pairs`` joined to the per-profile ``table`` on ``p1`` and on
-    ``p2``; each other column ``c`` of ``table`` comes back as ``c1``/``c2``."""
-    for i in (1, 2):
-        side = table.select(
-            *[F.col(c).alias(f"p{i}" if c == "pid" else f"{c}{i}") for c in table.columns]
-        )
-        pairs = pairs.join(side, f"p{i}")
-    return pairs
+def _token_index(tok: pd.DataFrame) -> _TokenIndex:
+    """The index of the collected ``(pid, token)`` rows. TF counts each
+    row once — one per attribute, the tokenizer's granularity; IDF =
+    ln(N / df) over the N profiles that have a token. Token ids follow
+    the tokens' code point order and each norm sums the squared weights
+    in that order, as a sorted token map would in Spark."""
+    pids, row = np.unique(tok["pid"].to_numpy(np.int64), return_inverse=True)
+    term, vocab = pd.factorize(tok["token"], sort=True)
+    n_terms = len(vocab)
+    keys, tf = np.unique(row * n_terms + term, return_counts=True)
+    term, row = keys % n_terms, keys // n_terms
+    idf = np.log(len(pids) / np.bincount(term, minlength=n_terms))
+    w = tf * idf[term]
+    norm = np.sqrt(np.bincount(row, w * w, minlength=len(pids)))
+    return _TokenIndex(pids, offsets(row, len(pids)), keys, w, norm, n_terms)
+
+
+def _score(idx: _TokenIndex, r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jaccard and cosine of each pair of rows. p2's entries, keyed to
+    p1's row, are looked up in the sorted keys; the dot product sums the
+    hits in token order."""
+    lo, hi = idx.ptr[r2], idx.ptr[r2 + 1]
+    pos2 = ranges(lo, hi)
+    pair = np.repeat(np.arange(len(r2)), hi - lo)
+    want = r1[pair] * idx.n_terms + idx.keys[pos2] % idx.n_terms
+    pos1 = np.minimum(np.searchsorted(idx.keys, want), len(idx.keys) - 1)
+    hit = idx.keys[pos1] == want
+    inter = np.bincount(pair[hit], minlength=len(r2))
+    dot = np.bincount(pair[hit], idx.w[pos1[hit]] * idx.w[pos2[hit]], minlength=len(r2))
+    jaccard = inter / (idx.ptr[r1 + 1] - idx.ptr[r1] + hi - lo - inter)
+    both = (idx.norm[r1] > 0) & (idx.norm[r2] > 0)
+    cosine = np.where(both, dot / np.where(both, idx.norm[r1] * idx.norm[r2], 1.0), 0.0)
+    return jaccard, cosine
+
+
+def _rows(pids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row of each id in the sorted ``pids``; -1 where it is absent."""
+    if not len(pids):
+        return np.full(len(ids), -1)
+    at = np.minimum(np.searchsorted(pids, ids), len(pids) - 1)
+    return np.where(pids[at] == ids, at, -1)
 
 
 def name_values(profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
     """One representative "name" string per profile: the first non-null
-    value among ``name_attrs`` (source-qualified), lowercased."""
+    value among ``name_attrs`` (source-qualified), lowercased.
+
+    A value with a non-ASCII character goes through ``lower``; any other
+    is folded by mapping ``A-Z`` to ``a-z``, which is what ``lower`` does
+    to ASCII text, without the ICU case-mapping start-up of the first
+    ``lower`` in a JVM."""
     order = {a: i for i, a in enumerate(name_attrs)}
     mapping = F.create_map(
         *[x for a in name_attrs for x in (F.lit(a), F.lit(order[a]))]
+    )
+    value = F.col("value")
+    folded = F.when(value.rlike("[^\\x00-\\x7f]"), F.lower(value)).otherwise(
+        F.translate(value, ascii_uppercase, ascii_lowercase)
     )
     ranked = (
         profiles.where(F.col("attribute").isin(name_attrs))
         .withColumn("prio", mapping[F.col("attribute")])
     )
-    return (
-        ranked.groupBy("pid")
-        .agg(F.min_by(F.lower("value"), "prio").alias("name"))
-    )
+    return ranked.groupBy("pid").agg(F.min_by(folded, "prio").alias("name"))
 
 
 def add_similarities(
@@ -79,24 +120,36 @@ def add_similarities(
     name_attrs: list[str],
 ) -> DataFrame:
     """Distinct candidate pairs decorated with all three features; pairs
-    with a token-less profile drop out, and a missing name gives
-    ``lev_norm`` 0."""
-    table = _profile_vectors(tokens).join(name_values(profiles, name_attrs), "pid", "left")
-    shared = F.array_intersect(F.map_keys("vec1"), F.map_keys("vec2"))
-    dot = F.aggregate(shared, F.lit(0.0), lambda a, t: a + F.col("vec1")[t] * F.col("vec2")[t])
-    cosine = F.when(
-        (F.col("norm1") > 0) & (F.col("norm2") > 0), dot / (F.col("norm1") * F.col("norm2"))
-    ).otherwise(F.lit(0.0))
+    with a token-less profile or a null id drop out, and a missing name
+    gives ``lev_norm`` 0."""
+    idx = _token_index(tokens.select("pid", "token").toPandas())
+    pp = pairs.select(F.col("p1").cast("long"), F.col("p2").cast("long")).dropna().toPandas()
+    r1, r2 = (_rows(idx.pids, pp[c].to_numpy(np.int64)) for c in ("p1", "p2"))
+    ok = (r1 >= 0) & (r2 >= 0)
+    # distinct pairs, sorted by (p1, p2)
+    key = np.unique(r1[ok] * len(idx.pids) + r2[ok])
+    r1, r2 = key // len(idx.pids), key % len(idx.pids)
+
+    jaccard, cosine = np.empty(len(key)), np.empty(len(key))
+    for lo in range(0, len(key), CHUNK_PAIRS):
+        chunk = slice(lo, lo + CHUNK_PAIRS)
+        jaccard[chunk], cosine[chunk] = _score(idx, r1[chunk], r2[chunk])
+
+    nv = name_values(profiles, name_attrs).toPandas()
+    names = np.full(len(idx.pids), None, dtype=object)
+    at = _rows(idx.pids, nv["pid"].to_numpy(np.int64))
+    names[at[at >= 0]] = nv["name"].to_numpy(object)[at >= 0]
+    scored = pd.DataFrame({
+        "p1": idx.pids[r1], "p2": idx.pids[r2], "jaccard": jaccard, "cosine": cosine,
+        "name1": names[r1], "name2": names[r2],
+    })
+    schema = "p1 long, p2 long, jaccard double, cosine double, name1 string, name2 string"
     name1, name2 = F.col("name1"), F.col("name2")
     lev = 1.0 - F.levenshtein(name1, name2) / F.greatest(F.length(name1), F.length(name2))
-    return (
-        _join_sides(pairs.select("p1", "p2").distinct(), table)
-        .withColumn("inter", F.size(shared))
-        .select(
-            "p1",
-            "p2",
-            (F.col("inter") / (F.col("n1") + F.col("n2") - F.col("inter"))).alias("jaccard"),
-            cosine.alias("cosine"),
-            F.when(name1.isNotNull() & name2.isNotNull(), lev).otherwise(F.lit(0.0)).alias("lev_norm"),
-        )
+    return pairs.sparkSession.createDataFrame(scored, schema).select(
+        "p1",
+        "p2",
+        "jaccard",
+        "cosine",
+        F.when(name1.isNotNull() & name2.isNotNull(), lev).otherwise(F.lit(0.0)).alias("lev_norm"),
     )

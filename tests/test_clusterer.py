@@ -3,7 +3,8 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.clusterer import cluster_entities, entity_pairs
+from repro.core.clusterer import cluster_entities
+from repro.debug.evaluation import cluster_pair_metrics
 
 
 def _nx_entities(edges) -> dict[int, int]:
@@ -83,15 +84,21 @@ class TestClusterEntities:
 
 
 class TestEntityPairs:
+    """``cluster_pair_metrics`` counts the intra-cluster pairs without
+    listing them: a triple holds three pairs, and a pair is scored in
+    (smaller pid, larger pid) order."""
+
     def test_pairs_of_triple(self, spark):
         cl = cluster_entities(spark.createDataFrame([(1, 2), (2, 3)], ["p1", "p2"]))
-        pairs = {(r["p1"], r["p2"]) for r in entity_pairs(cl).collect()}
-        assert pairs == {(1, 2), (1, 3), (2, 3)}
+        gt = spark.createDataFrame([(1, 2), (1, 3), (2, 3)], ["p1", "p2"])
+        m = cluster_pair_metrics(cl, gt)
+        assert (m.n_pairs, m.n_gt, m.n_true) == (3, 3, 3)
 
     def test_pairs_ordered(self, spark):
         cl = cluster_entities(spark.createDataFrame([(9, 1)], ["p1", "p2"]))
-        pairs = {(r["p1"], r["p2"]) for r in entity_pairs(cl).collect()}
-        assert pairs == {(1, 9)}
+        gt = spark.createDataFrame([(1, 9), (9, 1)], ["p1", "p2"])
+        m = cluster_pair_metrics(cl, gt)
+        assert (m.n_pairs, m.n_gt, m.n_true) == (1, 2, 1)
 
 
 class TestOnDataset:
@@ -117,8 +124,6 @@ class TestOnDataset:
         assert 1 <= len(sc.statusTracker().getJobIdsForGroup(group)) <= 3
 
     def test_cluster_quality(self, pipeline_out, er):
-        from repro.debug.evaluation import cluster_pair_metrics
-
         m = cluster_pair_metrics(pipeline_out["clusters"], er[2])
         assert m.f1 > 0.75
 

@@ -1,18 +1,20 @@
 """Tables built on the driver reach Spark as Arrow batches.
 
-The attribute partition, the cluster entropies, the debug sample and the
-entity clusters are built from pandas columns, so Spark receives them as
-Arrow batches and no Python worker has to unpickle their rows for a job
-that reads them. A zero-row input still gives a zero-row table with the
-documented schema.
+The attribute partition, the cluster entropies, the debug sample, the
+similarity features and the entity clusters are built from pandas
+columns, so Spark receives them as Arrow batches and no Python worker has
+to unpickle their rows for a job that reads them. A zero-row input still
+gives a zero-row table with the documented schema.
 """
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.clusterer import cluster_entities
+from repro.core.pipeline import NAME_ATTRS
 from repro.debug.sampling import debug_sample
 from repro.looseschema.entropy import cluster_entropies
 from repro.looseschema.partitioning import manual_partition, partition_attributes
+from repro.matching.similarity import add_similarities
 
 SCHEMAS = {
     "partition_attributes": "struct<attribute:string,cluster:int>",
@@ -20,10 +22,13 @@ SCHEMAS = {
     "cluster_entropies": "struct<cluster:int,entropy:double,entropy_norm:double>",
     "debug_sample": "struct<pid:bigint,reason:string>",
     "cluster_entities": "struct<pid:bigint,entity:bigint>",
+    "add_similarities": "struct<p1:bigint,p2:bigint,jaccard:double,cosine:double,lev_norm:double>",
 }
 
 
 def _build(name, spark, profiles, tokens, matches):
+    if name == "add_similarities":
+        return add_similarities(matches, tokens, profiles, name_attrs=NAME_ATTRS)
     if name == "partition_attributes":
         return partition_attributes(tokens)
     if name == "manual_partition":
@@ -47,3 +52,19 @@ def test_empty_input_gives_empty_table(name, spark, profiles, tokens, blocker_ou
     df = _build(name, spark, profiles.limit(0), tokens.limit(0), blocker_out["candidates"].limit(0))
     assert df.schema.simpleString() == SCHEMAS[name]
     assert df.collect() == []
+
+
+def test_add_similarities_job_budget(spark, profiles, tokens, blocker_out):
+    """The features of the fixture's candidates, collected, take one
+    collect each of the tokens, the pairs and the names, and the jobs of
+    collecting the result; no job joins pairs to profiles."""
+    sc = spark.sparkContext
+    group = "add-similarities-budget"
+    sc.setJobGroup(group, "add_similarities")
+    try:
+        add_similarities(
+            blocker_out["candidates"], tokens, profiles, name_attrs=NAME_ATTRS
+        ).collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 4

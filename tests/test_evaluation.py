@@ -114,6 +114,48 @@ class TestClusterMetrics:
         assert m.recall == 1.0
 
 
+def _listed_cluster_pairs(clusters):
+    """Every intra-cluster pair (p1 < p2), listed by a pandas self-merge."""
+    cl = pd.DataFrame(clusters, columns=["pid", "entity"]).dropna().drop_duplicates()
+    both = cl.merge(cl, on="entity")
+    both = both[both["pid_x"] < both["pid_y"]]
+    return list(zip(both["pid_x"].astype(int), both["pid_y"].astype(int)))
+
+
+@pytest.mark.parametrize(
+    "clusters,gt",
+    [
+        ([(1, 1), (11, 1), (21, 1), (2, 2), (12, 2)], [(1, 11), (11, 21), (2, 12), (1, 12)]),
+        ([(1, 1), (11, 1)], [(1, 11), (1, 11), (11, 1), (1, 1)]),
+        ([(1, 1), (11, 1), (None, 1), (5, None)], [(None, 11), (1, None), (None, None), (1, 11)]),
+        ([(1, 1), (11, 1), (11, 1)], [(1, 99), (98, 99)]),
+        ([], [(1, 11)]),
+        ([(1, 1), (11, 1)], []),
+        ([(2**62, 2**62), (2**62 + 1, 2**62)], [(2**62, 2**62 + 1), (None, 2**62 + 1)]),
+    ],
+    ids=["two-clusters", "duplicate-and-reversed-gt", "null-ids", "unclustered-gt",
+         "no-clusters", "empty-gt", "ids-above-2^53"],
+)
+def test_cluster_pair_metrics_equals_listed_pairs(spark, clusters, gt):
+    """Counting the cluster pairs gives what scoring them as a list does."""
+    m = cluster_pair_metrics(
+        spark.createDataFrame(clusters, "pid long, entity long"),
+        spark.createDataFrame(gt, "p1 long, p2 long"),
+    )
+    listed = pair_metrics(
+        spark.createDataFrame(_listed_cluster_pairs(clusters), "p1 long, p2 long"),
+        spark.createDataFrame(gt, "p1 long, p2 long"),
+    )
+    assert m == listed
+
+
+def test_cluster_pair_metrics_rejects_pid_in_two_entities(spark):
+    clusters = spark.createDataFrame([(1, 1), (1, 2), (2, 2)], "pid long, entity long")
+    gt = spark.createDataFrame([(1, 2)], "p1 long, p2 long")
+    with pytest.raises(ValueError, match="two entities"):
+        cluster_pair_metrics(clusters, gt)
+
+
 class TestBlockerDebugNumbersOnDataset:
     def test_default_blocker_high_recall(self, blocker_out, er):
         m = pair_metrics(blocker_out["candidates"], er[2])

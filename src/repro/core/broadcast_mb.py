@@ -15,7 +15,8 @@ This module is a faithful PySpark port of that scheme (DESIGN.md "Layering"):
    per block — and ``sc.broadcast`` to every executor;
 2. the graph's nodes are ``spark.range(n)``; inside ``mapInPandas`` each
    partition materializes one node neighborhood at a time with array
-   slices of the index and weighs its edges with `weights.weight_np`;
+   slices of the index and weighs its edges with `weights.weight` on numpy
+   arrays, the formula the Catalyst plan evaluates as Columns;
 3. pass A emits ``(u, t, Σw, |w|)`` for every node, and the driver
    broadcasts one dense threshold array back (WEP: the global mean
    Σ(Σw) / Σ|w|, which counts each edge once from each end). Pass B
@@ -34,7 +35,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.csr import offsets, ranges
 from repro.core.meta_blocking import PRUNINGS, check_options
-from repro.core.weights import keep, weight_np
+from repro.core.weights import keep, weight
 
 
 class Index(NamedTuple):
@@ -85,7 +86,7 @@ def _neighborhood(u: int, idx: Index, *, scheme: str, use_entropy: bool):
     nbrs, inv, cbs = np.unique(idx.members[ranges(lo, hi)], return_inverse=True, return_counts=True)
     b1, b2 = (idx.b[u], idx.b[nbrs]) if idx.source[u] == 1 else (idx.b[nbrs], idx.b[u])
     ent = np.bincount(inv, np.repeat(idx.block_ent[bids], lens)) / cbs if use_entropy else None
-    w = weight_np(scheme, cbs=cbs, b1=b1, b2=b2, n_blocks=len(idx.block_ent), ent=ent)
+    w = weight(scheme, cbs=cbs, b1=b1, b2=b2, n_blocks=len(idx.block_ent), ent=ent, where=np.where)
     return nbrs, w
 
 

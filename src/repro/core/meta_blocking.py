@@ -1,8 +1,9 @@
 """Meta-blocking on the DataFrame API (SparkER Blocker, final stage).
 
 The blocking graph has profiles as nodes and co-occurring clean-clean
-pairs as edges. Edges are weighted (``repro.core.weights``), optionally
-re-weighted by attribute-cluster entropy (Blast), then pruned:
+pairs as edges. Edges are weighted by ``weights.weight`` as a Column
+expression, optionally re-weighted by attribute-cluster entropy (Blast),
+then pruned:
 
     wep    global:     keep w >= mean over all edges (the Fig. 1c toy rule)
     wnp    node-local: t_p = mean of p's edge weights;    keep-if-either
@@ -12,8 +13,8 @@ re-weighted by attribute-cluster entropy (Blast), then pruned:
 Every strategy has one shape — thresholds for the two endpoints plus the
 combine rule ``weights.keep`` (which allows a relative float slack of
 ``weights.REL_TOL``) — and the broadcast implementation
-(`repro.core.broadcast_mb`) applies the same rule, so the two
-implementations can be tested for equality.
+(`repro.core.broadcast_mb`) applies the same weight formula and rule to
+numpy arrays, so the two implementations can be tested for equality.
 
 The paper implements this stage over RDDs with a broadcast-join-inspired
 scheme; here the primary implementation is one Catalyst plan (DESIGN.md):
@@ -31,7 +32,7 @@ from numbers import Integral
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.weights import SCHEMES, keep, weight_col
+from repro.core.weights import SCHEMES, keep, weight
 
 PRUNINGS = ("wep", "wnp", "blast", "cnp")
 
@@ -90,8 +91,9 @@ def build_graph(
         F.count(F.lit(1)).alias("cbs"), F.first("b1").alias("b1"),
         F.first("b2").alias("b2"), F.avg("e").alias("ent"),
     )
-    w = weight_col(scheme, cbs=F.col("cbs"), b1=F.col("b1"), b2=F.col("b2"),
-                   n_blocks=n_blocks, ent=F.col("ent") if use_entropy else None)
+    w = weight(scheme, cbs=F.col("cbs"), b1=F.col("b1"), b2=F.col("b2"), n_blocks=n_blocks,
+               ent=F.col("ent") if use_entropy else None,
+               where=lambda cond, a, b: F.when(cond, a).otherwise(b))
     return edges.withColumn("weight", w)
 
 

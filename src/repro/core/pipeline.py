@@ -175,9 +175,11 @@ def run_pipeline(
 ) -> dict:
     """Blocker → Entity Matcher (threshold mode) → Entity Clusterer."""
     out = run_blocker(spark, source_a, source_b, cfg)
-    sims = _mat(add_similarities(
+    # Not materialised: the pairs are Arrow-backed, and a reader that does
+    # not select ``lev_norm`` (the cosine matcher) does not compute it.
+    sims = add_similarities(
         out["candidates"], out["tokens"], out["profiles"], name_attrs=NAME_ATTRS
-    ))
+    )
     matches = _mat(threshold_matcher(
         sims, feature=match_feature, threshold=match_threshold
     ))

@@ -4,20 +4,30 @@ Blocking keys in SparkER are the tokens appearing anywhere in a profile,
 regardless of attribute (Figure 1b). The tokenizer lowercases, splits on
 any non-alphanumeric run, and drops tokens shorter than ``min_len``.
 
-Only ``[a-z0-9]`` runs survive the split, so the case fold needs to be
-exact on ASCII letters only. It maps ``A-Z`` and the two non-ASCII code
-points whose lowercase contains an ASCII letter (U+0130 İ → ``i̇``,
-U+212A Kelvin sign → ``k``), which gives the same tokens as a full
-Unicode ``lower`` without its ICU case-mapping start-up in the JVM.
+The one case fold of the package is :func:`fold_case`, which the
+tokenizer and the matcher's name fold (``repro.matching.similarity``)
+share. It is ``lower`` on values with a non-ASCII character and maps
+``A-Z`` to ``a-z`` on the rest, which is what ``lower`` does to ASCII
+text, without the ICU case-mapping start-up of the first ``lower`` in a
+JVM (≈2 s). Data that holds non-ASCII text pays that start-up once per
+JVM.
 """
 from __future__ import annotations
 
 from string import ascii_lowercase, ascii_uppercase
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 TOKEN_SPLIT_RE = "[^a-z0-9]+"
+
+
+def fold_case(value: Column) -> Column:
+    """``lower(value)``; a value is non-ASCII exactly when its UTF-8
+    encoding is longer than its number of characters."""
+    return F.when(F.octet_length(value) != F.length(value), F.lower(value)).otherwise(
+        F.translate(value, ascii_uppercase, ascii_lowercase)
+    )
 
 
 def tokenize(profiles: DataFrame, *, min_len: int = 2) -> DataFrame:
@@ -28,19 +38,12 @@ def tokenize(profiles: DataFrame, *, min_len: int = 2) -> DataFrame:
     but the same token under two attributes is kept twice because loose-
     schema blocking derives *different* keys from it (token ⧺ partition id).
     """
-    # F.lower on everything that can reach a token (module docstring),
-    # without the ICU start-up of the first lower() in a JVM.
-    folded = F.translate(
-        F.regexp_replace("value", "\u0130", "i\u0307"),
-        ascii_uppercase + "\u212a",
-        ascii_lowercase + "k",
-    )
     return (
         profiles.select(
             "pid",
             "source",
             "attribute",
-            F.explode(F.split(folded, TOKEN_SPLIT_RE)).alias("token"),
+            F.explode(F.split(fold_case(F.col("value")), TOKEN_SPLIT_RE)).alias("token"),
         )
         .where(F.length("token") >= min_len)
         .distinct()

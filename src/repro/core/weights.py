@@ -15,18 +15,15 @@ and a scheme maps them to a weight:
 
 With ``use_entropy`` the weight is multiplied by ``ent`` (Blast, Fig. 2c).
 
-:func:`keep` is the one pruning keep rule both meta-blocking
-implementations apply to an edge, given its endpoints' thresholds.
-
-Two synchronized implementations live here: Spark Column expressions (for
-the DataFrame meta-blocking) and a numpy version (for the broadcast
-implementation and for test oracles). Tests assert they agree.
+:func:`weight` computes it, and :func:`keep` is the one pruning keep
+rule both meta-blocking implementations apply to an edge, given its
+endpoints' thresholds. Each is written once for Spark Columns and numpy
+arrays: the Catalyst meta-blocking (``repro.core.meta_blocking``)
+evaluates them as Column expressions, the broadcast implementation
+(``repro.core.broadcast_mb``) on numpy arrays, and tests assert that the
+two give identical weights.
 """
 from __future__ import annotations
-
-import numpy as np
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 SCHEMES = ("cbs", "js", "chi2")
 # Relative slack of the keep rule. A threshold that is a mean of equal
@@ -35,59 +32,27 @@ SCHEMES = ("cbs", "js", "chi2")
 REL_TOL = 1e-9
 
 
-def weight_col(
-    scheme: str,
-    *,
-    cbs: Column,
-    b1: Column,
-    b2: Column,
-    n_blocks: int,
-    ent: Column | None = None,
-) -> Column:
-    """Spark Column computing the edge weight for ``scheme``."""
-    if scheme == "cbs":
-        w = cbs.cast("double")
-    elif scheme == "js":
-        w = cbs / (b1 + b2 - cbs)
-    elif scheme == "chi2":
-        n = F.lit(float(n_blocks))
-        num = n * (cbs * n - b1 * b2) ** 2
-        den = b1 * b2 * (n - b1) * (n - b2)
-        w = F.when(den > 0, num / den).otherwise(F.lit(0.0))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if ent is not None:
-        w = w * ent
-    return w
+def weight(scheme: str, *, cbs, b1, b2, n_blocks: int, ent, where):
+    """The edge weight for ``scheme``, for Spark Columns or numpy arrays.
 
-
-def weight_np(
-    scheme: str,
-    *,
-    cbs: np.ndarray,
-    b1: np.ndarray,
-    b2: np.ndarray,
-    n_blocks: int,
-    ent: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numpy twin of :func:`weight_col` — identical formulas and guards."""
-    cbs = np.asarray(cbs, dtype=np.float64)
-    b1 = np.asarray(b1, dtype=np.float64)
-    b2 = np.asarray(b2, dtype=np.float64)
+    ``where(cond, a, b)`` is the caller's element-wise select: ``np.where``
+    or ``F.when(cond, a).otherwise(b)``. ``ent`` is ``None`` without
+    entropy re-weighting. The χ² denominator is replaced before the
+    division where it is 0, so no row divides by 0 (Spark's ANSI mode
+    raises on that).
+    """
     if scheme == "cbs":
-        w = cbs.copy()
+        w = cbs * 1.0
     elif scheme == "js":
         w = cbs / (b1 + b2 - cbs)
     elif scheme == "chi2":
         n = float(n_blocks)
         num = n * (cbs * n - b1 * b2) ** 2
         den = b1 * b2 * (n - b1) * (n - b2)
-        w = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        w = where(den > 0, num / where(den > 0, den, 1.0), 0.0)
     else:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if ent is not None:
-        w = w * np.asarray(ent, dtype=np.float64)
-    return w
+    return w if ent is None else w * ent
 
 
 def keep(pruning: str, w, t1, t2):

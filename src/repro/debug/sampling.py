@@ -8,12 +8,12 @@ match it (high token overlap) and k/2 random profiles.
 The random draws run on the driver: one ``np.random.default_rng(seed)``
 over the profile ids sorted by pid, so the sample depends only on the
 data and ``seed``, not on how Spark partitions or orders the rows. The
-driver holds one int64 per profile and the seeds' token sets (K
-profiles). Only the token overlap of the seeds with every other-source
-profile runs in Spark, as one broadcast join. The seeds' token table and
-the returned sample are built from pandas columns over sorted, distinct
-rows, so Spark receives them as Arrow batches: no Python worker runs for
-a job that reads them, and reading the sample again runs no job at all.
+driver holds one int64 per profile. Only the token overlap of the seeds
+with every other-source profile runs in Spark, as one join that
+broadcasts the seeds' token rows (K profiles). The returned sample is
+built from pandas columns, so Spark receives it as Arrow batches: no
+Python worker runs for a job that reads it, and reading it again runs no
+job at all.
 """
 from __future__ import annotations
 
@@ -52,14 +52,11 @@ def debug_sample(
     rest = np.setdiff1d(pids, seeds)
     randoms = rng.choice(rest, size=min(big_k * (small_k // 2), len(rest)), replace=False)
 
-    seed_tokens = (
-        tokens.where(F.col("pid").isin(seeds.tolist()))
-        .select(F.col("pid").alias("seed_pid"), F.col("source").alias("seed_source"), "token")
-        .toPandas()
-        .drop_duplicates()
-        .sort_values(["seed_pid", "seed_source", "token"], ignore_index=True)
+    # A token under several attributes repeats a row; countDistinct below
+    # counts it once.
+    t_seed = tokens.where(F.col("pid").isin(seeds.tolist())).select(
+        F.col("pid").alias("seed_pid"), F.col("source").alias("seed_source"), "token"
     )
-    t_seed = spark.createDataFrame(seed_tokens, "seed_pid long, seed_source int, token string")
     w = Window.partitionBy("seed_pid").orderBy(F.desc("shared"), F.asc("pid"))
     likely = (
         tokens.join(F.broadcast(t_seed), "token")

@@ -13,12 +13,13 @@ The tokens, the candidate pairs and the names are collected once. The
 driver builds a CSR index over the profiles' TF-IDF-weighted tokens and
 scores the distinct pairs in numpy, a fixed number of pairs at a time;
 the scored pairs reach Spark as one Arrow-backed frame, where
-``lev_norm`` is a projection of the two names. The driver holds 16 bytes
-per (profile, token) and the chunk's arrays (DESIGN.md, "Layering").
+``lev_norm`` is a projection of the two names, so a reader that does not
+select it never computes it. Names are lowercased with the tokenizer's
+``fold_case``. The driver holds 16 bytes per (profile, token) and the
+chunk's arrays (DESIGN.md, "Layering").
 """
 from __future__ import annotations
 
-from string import ascii_lowercase, ascii_uppercase
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.csr import offsets, ranges
+from repro.core.tokens import fold_case
 
 # Pairs scored per numpy pass: the pass holds a few arrays as long as the
 # chunk's p2 token lists, so this bounds the driver's working memory.
@@ -91,25 +93,17 @@ def _rows(pids: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def name_values(profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
     """One representative "name" string per profile: the first non-null
-    value among ``name_attrs`` (source-qualified), lowercased.
-
-    A value with a non-ASCII character goes through ``lower``; any other
-    is folded by mapping ``A-Z`` to ``a-z``, which is what ``lower`` does
-    to ASCII text, without the ICU case-mapping start-up of the first
-    ``lower`` in a JVM."""
+    value among ``name_attrs`` (source-qualified), lowercased with the
+    tokenizer's ``fold_case``."""
     order = {a: i for i, a in enumerate(name_attrs)}
     mapping = F.create_map(
         *[x for a in name_attrs for x in (F.lit(a), F.lit(order[a]))]
-    )
-    value = F.col("value")
-    folded = F.when(value.rlike("[^\\x00-\\x7f]"), F.lower(value)).otherwise(
-        F.translate(value, ascii_uppercase, ascii_lowercase)
     )
     ranked = (
         profiles.where(F.col("attribute").isin(name_attrs))
         .withColumn("prio", mapping[F.col("attribute")])
     )
-    return ranked.groupBy("pid").agg(F.min_by(folded, "prio").alias("name"))
+    return ranked.groupBy("pid").agg(F.min_by(fold_case(F.col("value")), "prio").alias("name"))
 
 
 def add_similarities(

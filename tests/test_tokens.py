@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.core.profiles import to_profiles
-from repro.core.tokens import TOKEN_SPLIT_RE, tokenize
+from repro.core.tokens import TOKEN_SPLIT_RE, fold_case, tokenize
 from tests.oracle import assert_equivalent
 
 
@@ -97,10 +97,20 @@ def _lower_reference(profiles, min_len: int):
 
 
 class TestCaseFoldEqualsLower:
-    """The tokenizer's ASCII case fold gives the same tokens as ``lower``.
+    """The tokenizer's case fold gives the same tokens as ``lower``.
 
     ``min_len=1`` so that a single stray letter would show.
     """
+
+    def test_fold_case_is_lower_on_every_bmp_code_point(self, spark):
+        """``fold_case`` equals ``lower`` on the whole value, not just on
+        what survives the split, so the matcher's name fold can use it."""
+        points = [c for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]
+        values = [f"Ab{chr(c)}Cd" for c in points] + [None]
+        df = spark.createDataFrame(pd.DataFrame({"v": values}), "v string")
+        v = F.col("v")
+        assert df.count() == len(values)
+        assert df.where(~fold_case(v).eqNullSafe(F.lower(v))).count() == 0
 
     def test_every_bmp_code_point_between_letters(self, spark):
         points = [c for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]

@@ -1,51 +1,64 @@
-"""Tests for the edge-weighting schemes (Spark and numpy twins)."""
+"""Tests for the edge-weighting schemes (one formula, on Spark Columns and
+on numpy arrays)."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.meta_blocking import build_graph
-from repro.core.weights import REL_TOL, keep, weight_col, weight_np
+from repro.core.weights import REL_TOL, keep, weight
 from tests.oracle import assert_equivalent
+
+
+def np_weight(scheme, *, cbs, b1, b2, n_blocks, ent=None):
+    """``weight`` on numpy float64 arrays made from lists."""
+    cbs, b1, b2 = (np.asarray(x, np.float64) for x in (cbs, b1, b2))
+    ent = None if ent is None else np.asarray(ent, np.float64)
+    return weight(scheme, cbs=cbs, b1=b1, b2=b2, n_blocks=n_blocks, ent=ent, where=np.where)
+
+
+def spark_where(cond, a, b):
+    """The element-wise select ``build_graph`` passes to ``weight``."""
+    return F.when(cond, a).otherwise(b)
 
 
 class TestNumpyFormulas:
     def test_cbs_is_identity(self):
-        w = weight_np("cbs", cbs=[1, 3, 7], b1=[9, 9, 9], b2=[9, 9, 9], n_blocks=100)
+        w = np_weight("cbs", cbs=[1, 3, 7], b1=[9, 9, 9], b2=[9, 9, 9], n_blocks=100)
         assert w.tolist() == [1.0, 3.0, 7.0]
 
     def test_js_formula(self):
-        w = weight_np("js", cbs=[2], b1=[4], b2=[6], n_blocks=100)
+        w = np_weight("js", cbs=[2], b1=[4], b2=[6], n_blocks=100)
         assert w[0] == pytest.approx(2 / (4 + 6 - 2))
 
     def test_js_identical_block_sets(self):
-        w = weight_np("js", cbs=[5], b1=[5], b2=[5], n_blocks=100)
+        w = np_weight("js", cbs=[5], b1=[5], b2=[5], n_blocks=100)
         assert w[0] == pytest.approx(1.0)
 
     def test_chi2_formula(self):
         cbs, b1, b2, n = 3.0, 5.0, 6.0, 50.0
         num = n * (cbs * n - b1 * b2) ** 2
         den = b1 * b2 * (n - b1) * (n - b2)
-        w = weight_np("chi2", cbs=[cbs], b1=[b1], b2=[b2], n_blocks=int(n))
+        w = np_weight("chi2", cbs=[cbs], b1=[b1], b2=[b2], n_blocks=int(n))
         assert w[0] == pytest.approx(num / den)
 
     def test_chi2_guard_degenerate(self):
         # b1 == n_blocks -> denominator zero -> weight 0, not NaN/inf.
-        w = weight_np("chi2", cbs=[3], b1=[10], b2=[5], n_blocks=10)
+        w = np_weight("chi2", cbs=[3], b1=[10], b2=[5], n_blocks=10)
         assert w[0] == 0.0
 
     def test_chi2_independence_is_zero(self):
         # cbs * N == b1 * b2 -> observed == expected -> chi2 == 0.
-        w = weight_np("chi2", cbs=[2], b1=[4], b2=[5], n_blocks=10)
+        w = np_weight("chi2", cbs=[2], b1=[4], b2=[5], n_blocks=10)
         assert w[0] == pytest.approx(0.0)
 
     def test_entropy_scales(self):
-        w = weight_np("cbs", cbs=[4], b1=[1], b2=[1], n_blocks=10, ent=[0.5])
+        w = np_weight("cbs", cbs=[4], b1=[1], b2=[1], n_blocks=10, ent=[0.5])
         assert w[0] == pytest.approx(2.0)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            weight_np("nope", cbs=[1], b1=[1], b2=[1], n_blocks=1)
+            np_weight("nope", cbs=[1], b1=[1], b2=[1], n_blocks=1)
 
 
 class TestKeepRule:
@@ -70,46 +83,53 @@ class TestKeepRule:
 @pytest.mark.parametrize("scheme", ["cbs", "js", "chi2"])
 @pytest.mark.parametrize("use_ent", [False, True])
 def test_spark_and_numpy_agree(spark, scheme, use_ent):
-    """The Column expression and the numpy twin give identical weights."""
+    """The formula gives bit-identical weights as a Column expression over
+    long counts (as ``build_graph`` has them) and on numpy int64 arrays
+    (as ``broadcast_mb`` has them), matched by row id. A quarter of the
+    rows have ``b1`` or ``b2`` equal to ``n_blocks``: a χ² denominator of 0."""
     g = np.random.default_rng(0)
-    n = 200
+    n, n_blocks = 2000, 40
+    b1, b2 = g.integers(10, 30, n), g.integers(10, 30, n)
+    b1[: n // 8] = n_blocks
+    b2[n // 8 : n // 4] = n_blocks
     pdf = pd.DataFrame(
         {
-            "cbs": g.integers(1, 10, n).astype(float),
-            "b1": g.integers(10, 30, n).astype(float),
-            "b2": g.integers(10, 30, n).astype(float),
+            "id": np.arange(n),
+            "cbs": g.integers(1, 10, n),
+            "b1": b1,
+            "b2": b2,
             "ent": g.random(n),
         }
     )
-    n_blocks = 40
-    df = spark.createDataFrame(pdf)
-    col = weight_col(
+    df = spark.createDataFrame(pdf, "id long, cbs long, b1 long, b2 long, ent double")
+    col = weight(
         scheme,
         cbs=F.col("cbs"),
         b1=F.col("b1"),
         b2=F.col("b2"),
         n_blocks=n_blocks,
         ent=F.col("ent") if use_ent else None,
+        where=spark_where,
     )
-    got = np.array(
-        [r["w"] for r in df.withColumn("w", col).select("w").collect()]
-    )
-    want = weight_np(
+    got = dict(df.select("id", col.alias("w")).collect())
+    want = weight(
         scheme,
-        cbs=pdf["cbs"],
-        b1=pdf["b1"],
-        b2=pdf["b2"],
+        cbs=pdf["cbs"].to_numpy(),
+        b1=pdf["b1"].to_numpy(),
+        b2=pdf["b2"].to_numpy(),
         n_blocks=n_blocks,
         ent=pdf["ent"].to_numpy() if use_ent else None,
+        where=np.where,
     )
-    # Row order from collect matches createDataFrame order at this size? No —
-    # compare as sorted multisets instead.
-    assert np.allclose(np.sort(got), np.sort(want))
+    assert [got[i] for i in range(n)] == want.tolist()
+    if scheme == "chi2":
+        assert (want[: n // 4] == 0.0).all()
 
 
 def test_unknown_scheme_rejected_spark():
     with pytest.raises(ValueError):
-        weight_col("nope", cbs=F.lit(1), b1=F.lit(1), b2=F.lit(1), n_blocks=1)
+        weight("nope", cbs=F.lit(1), b1=F.lit(1), b2=F.lit(1), n_blocks=1, ent=None,
+               where=spark_where)
 
 
 class TestFigure1Graph:

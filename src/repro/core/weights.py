@@ -42,7 +42,7 @@ def weight(scheme: str, *, cbs, b1, b2, n_blocks: int, ent, where):
     raises on that).
     """
     if scheme == "cbs":
-        w = cbs * 1.0
+        w = cbs * 1.0  # a double, as the other schemes give
     elif scheme == "js":
         w = cbs / (b1 + b2 - cbs)
     elif scheme == "chi2":

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 BRANDS = [
@@ -242,7 +243,7 @@ def generate(
 def to_spark(spark: SparkSession, ds: ERDataset) -> tuple[DataFrame, DataFrame, DataFrame]:
     """Lift a generated dataset into Spark DataFrames (A, B, ground truth)."""
     return (
-        spark.createDataFrame(ds.source_a),
-        spark.createDataFrame(ds.source_b),
-        spark.createDataFrame(ds.ground_truth),
+        spark.createDataFrame(pa.table(ds.source_a)),
+        spark.createDataFrame(pa.table(ds.source_b)),
+        spark.createDataFrame(pa.table(ds.ground_truth)),
     )

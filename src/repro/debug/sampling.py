@@ -10,15 +10,13 @@ over the profile ids sorted by pid, so the sample depends only on the
 data and ``seed``, not on how Spark partitions or orders the rows. The
 driver holds one int64 per profile. Only the token overlap of the seeds
 with every other-source profile runs in Spark, as one join that
-broadcasts the seeds' token rows (K profiles). The returned sample is
-built from pandas columns, so Spark receives it as Arrow batches: no
-Python worker runs for a job that reads it, and reading it again runs no
-job at all.
+broadcasts the seeds' token rows (K profiles). The sample goes back to
+Spark as a pyarrow table.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
@@ -44,9 +42,7 @@ def debug_sample(
     A profile picked for several reasons keeps the alphabetically first.
     """
     spark = profiles.sparkSession
-    pids = np.sort(np.array(
-        [r["pid"] for r in profiles.select("pid").distinct().collect()], np.int64
-    ))
+    pids = np.sort(profiles.select("pid").distinct().toArrow()["pid"].to_numpy().astype(np.int64))
     rng = np.random.default_rng(seed)
     seeds = rng.choice(pids, size=min(big_k, len(pids)), replace=False)
     rest = np.setdiff1d(pids, seeds)
@@ -66,7 +62,8 @@ def debug_sample(
         .withColumn("rank", F.row_number().over(w))
         .where(F.col("rank") <= small_k // 2)
         .select("pid")
-        .collect()
+        .toArrow()["pid"]
+        .to_pylist()
     )
 
     # Seeds and randoms are disjoint; a later reason wins, which keeps the
@@ -74,10 +71,11 @@ def debug_sample(
     reason = {
         **dict.fromkeys(seeds.tolist(), "seed"),
         **dict.fromkeys(randoms.tolist(), "random"),
-        **dict.fromkeys((r["pid"] for r in likely), "likely"),
+        **dict.fromkeys(likely, "likely"),
     }
+    pid = sorted(reason)
     return spark.createDataFrame(
-        pd.DataFrame(sorted(reason.items()), columns=["pid", "reason"]), "pid long, reason string"
+        pa.table({"pid": pid, "reason": [reason[p] for p in pid]}), "pid long, reason string"
     )
 
 

@@ -11,12 +11,11 @@ Entropies are normalized to (0, 1] by the maximum cluster entropy so the
 re-weighting rescales rather than changes units; a degenerate collection
 where every cluster has zero entropy normalizes to 1.0 everywhere (no-op).
 Spark computes the entropies; the k cluster rows are then collected and
-normalized on the driver, and the returned table is built there from
-pandas columns, so Spark receives it as Arrow batches and no Python
-worker runs for a job that reads it.
+normalized on the driver, and handed back to Spark as a pyarrow table.
 """
 from __future__ import annotations
 
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -48,5 +47,5 @@ def cluster_entropies(tokens_with_cluster: DataFrame) -> DataFrame:
     m = pdf["entropy"].max()  # NaN when there is no cluster
     pdf["entropy_norm"] = pdf["entropy"] / m if m > 0 else 1.0
     return tokens_with_cluster.sparkSession.createDataFrame(
-        pdf, "cluster int, entropy double, entropy_norm double"
+        pa.table(pdf), "cluster int, entropy double, entropy_norm double"
     )

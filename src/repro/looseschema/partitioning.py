@@ -14,9 +14,8 @@ Pipeline, as described in the paper:
 
 Only the MinHash signatures are computed in Spark. Steps 1-3 work on one
 row per attribute (a handful here, about 10⁵ at Blast's DBpedia scale),
-so they run in numpy on the driver over the collected signature matrix.
-The partition table is built there from pandas columns: Spark receives
-it as Arrow batches, so no Python worker runs for a job that reads it.
+so they run in numpy on the driver over the collected signature matrix,
+and the partition table is handed to Spark as a pyarrow table.
 
 A ``manual`` override lets the demo's supervised mode (Figure 6c) replace
 the learned partition with a user-drawn one.
@@ -24,7 +23,7 @@ the learned partition with a user-drawn one.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.graph.connected_components import connected_components
@@ -78,9 +77,10 @@ def partition_attributes(
 
     Every attribute present in ``tokens`` appears in the output exactly
     once; cluster ids are 1..k for learned clusters, ordered by each
-    cluster's smallest attribute name, and 0 for the blob. A
-    ``threshold`` of 1.0 degenerates to schema-agnostic blocking: no
-    estimated similarity clears it, so everything lands in the blob.
+    cluster's smallest attribute name, and 0 for the blob. A pair links
+    at ``sim >= threshold``, so at 1.0 only attributes with identical
+    MinHash signatures (e.g. identical token sets) form a cluster; when
+    none agree, everything is the blob: schema-agnostic blocking.
     """
     sigs = minhash.signatures(
         attribute_tokens(tokens), item_col="attribute", token_col="token",
@@ -91,7 +91,7 @@ def partition_attributes(
     sim = minhash.estimated_similarity(sig, pairs)
     cluster = closure(len(attrs), *best_partners(pairs, sim, threshold))
     return tokens.sparkSession.createDataFrame(
-        pd.DataFrame({"attribute": attrs, "cluster": cluster}), "attribute string, cluster int"
+        pa.table({"attribute": attrs, "cluster": cluster}), "attribute string, cluster int"
     )
 
 
@@ -107,8 +107,8 @@ def manual_partition(
     ``partition_attributes``, the table is built on the driver, one row
     per distinct attribute in name order.
     """
-    names = sorted(r["attribute"] for r in attributes.select("attribute").distinct().collect())
+    names = sorted(attributes.select("attribute").distinct().toArrow()["attribute"].to_pylist())
     cluster = [int(clusters.get(a, BLOB_CLUSTER)) for a in names]
     return spark.createDataFrame(
-        pd.DataFrame({"attribute": names, "cluster": cluster}), "attribute string, cluster int"
+        pa.table({"attribute": names, "cluster": cluster}), "attribute string, cluster int"
     )

@@ -12,7 +12,7 @@ such tools use (no per-pair UDF loops):
 The tokens, the candidate pairs and the names are collected once. The
 driver builds a CSR index over the profiles' TF-IDF-weighted tokens and
 scores the distinct pairs in numpy, a fixed number of pairs at a time;
-the scored pairs reach Spark as one Arrow-backed frame, where
+the scored pairs reach Spark as one pyarrow table, where
 ``lev_norm`` is a projection of the two names, so a reader that does not
 select it never computes it. Names are lowercased with the tokenizer's
 ``fold_case``. The driver holds 16 bytes per (profile, token) and the
@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -133,14 +134,14 @@ def add_similarities(
     names = np.full(len(idx.pids), None, dtype=object)
     at = _rows(idx.pids, nv["pid"].to_numpy(np.int64))
     names[at[at >= 0]] = nv["name"].to_numpy(object)[at >= 0]
-    scored = pd.DataFrame({
+    scored = {
         "p1": idx.pids[r1], "p2": idx.pids[r2], "jaccard": jaccard, "cosine": cosine,
         "name1": names[r1], "name2": names[r2],
-    })
+    }
     schema = "p1 long, p2 long, jaccard double, cosine double, name1 string, name2 string"
     name1, name2 = F.col("name1"), F.col("name2")
     lev = 1.0 - F.levenshtein(name1, name2) / F.greatest(F.length(name1), F.length(name2))
-    return pairs.sparkSession.createDataFrame(scored, schema).select(
+    return pairs.sparkSession.createDataFrame(pa.table(scored), schema).select(
         "p1",
         "p2",
         "jaccard",

@@ -6,7 +6,8 @@ blocks, number of candidate pairs, and the number of ground-truth pairs
 lost during blocking (the paper's "false positives"). The configurations:
 
   6(a)  clustering threshold 1.0  -> every attribute in the blob cluster,
-        i.e. plain schema-agnostic token blocking;
+        i.e. plain schema-agnostic token blocking (two attributes with
+        identical MinHash signatures would still form a cluster);
   6(b)  threshold 0.3             -> learned clusters (text vs prices);
         "precision slightly increases [and] candidate pairs reduced";
   6(c)  manual name/description split -> "the number of false positives

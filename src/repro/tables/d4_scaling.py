@@ -6,7 +6,7 @@ meta-blocking keep the comparison count tractable. This table grows the
 synthetic dataset (``size_mult``) and reports, per size: profiles, naive
 cross-source comparisons, candidates after blocking and after
 meta-blocking, the recall retained, and the blocker wall time on the
-local Spark session.
+local Spark session, after one untimed warm-up run at mult=1.
 """
 from __future__ import annotations
 
@@ -27,6 +27,8 @@ def run(
     size_mults: tuple[int, ...] = (1, 2, 4),
 ) -> list[dict]:
     """One row per dataset size."""
+    a, b, gt = er_synth.to_spark(spark, er_synth.generate(n_entities=n_entities))
+    pair_metrics(run_blocker(spark, a, b, BlockerConfig())["candidates"], gt)  # warm-up
     rows = []
     for mult in size_mults:
         ds = er_synth.generate(n_entities=n_entities, size_mult=mult)

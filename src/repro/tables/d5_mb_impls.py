@@ -40,8 +40,9 @@ def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
     )
     bc_secs = time.perf_counter() - t0
 
-    pairs_df = {(r.p1, r.p2) for r in df_cands.select("p1", "p2").collect()}
-    pairs_bc = {(r.p1, r.p2) for r in bc_cands.select("p1", "p2").collect()}
+    pairs_df, pairs_bc = (
+        set(zip(*c.select("p1", "p2").toArrow().to_pydict().values())) for c in (df_cands, bc_cands)
+    )
     sym_diff = len(pairs_df ^ pairs_bc)
 
     rows = []

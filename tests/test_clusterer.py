@@ -113,7 +113,7 @@ class TestOnDataset:
         assert _entities(pipeline_out["clusters"]) == _nx_entities(matches)
 
     def test_runs_at_most_three_jobs(self, spark, pipeline_out):
-        """One collect of the distinct matches, not a job per round."""
+        """One collect of the matches, not a job per round."""
         sc = spark.sparkContext
         group = "cluster-entities-jobs"
         sc.setJobGroup(group, "cluster the dataset's matches")

@@ -1,9 +1,9 @@
 """Tables built on the driver reach Spark as Arrow batches.
 
 The attribute partition, the cluster entropies, the debug sample, the
-similarity features and the entity clusters are built from pandas
-columns, so Spark receives them as Arrow batches and no Python worker has
-to unpickle their rows for a job that reads them. A zero-row input still
+similarity features and the entity clusters are handed to Spark as
+pyarrow tables, so no Python worker has to unpickle their rows for a job
+that reads them, whether they have rows or not. A zero-row input still
 gives a zero-row table with the documented schema.
 """
 import pytest
@@ -40,17 +40,24 @@ def _build(name, spark, profiles, tokens, matches):
     return cluster_entities(matches)
 
 
+def _python_rdd(df) -> bool:
+    return "PythonRDD" in df._jdf.queryExecution().toRdd().toDebugString()
+
+
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_no_python_rdd_behind_table(name, spark, profiles, tokens, blocker_out):
     df = _build(name, spark, profiles, tokens, blocker_out["candidates"])
     assert df.count() > 0
-    assert "PythonRDD" not in df._jdf.queryExecution().toRdd().toDebugString()
+    assert not _python_rdd(df)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_empty_input_gives_empty_table(name, spark, profiles, tokens, blocker_out):
+    """A zero-row table has the schema, and is a local relation too, not
+    a pickled RDD."""
     df = _build(name, spark, profiles.limit(0), tokens.limit(0), blocker_out["candidates"].limit(0))
     assert df.schema.simpleString() == SCHEMAS[name]
+    assert not _python_rdd(df)
     assert df.collect() == []
 
 

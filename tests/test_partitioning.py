@@ -72,6 +72,17 @@ class TestLearnedPartition:
         p = partition_attributes(attr_tokens, threshold=1.0)
         assert {r["cluster"] for r in p.collect()} == {BLOB_CLUSTER}
 
+    def test_threshold_one_keeps_identical_token_sets(self, spark, attr_tokens):
+        """Similarity 1.0 clears a threshold of 1.0: two attributes with
+        the same token set have the same signature and stay linked."""
+        twin = attr_tokens.where(F.col("attribute") == "1.name").select(
+            F.lit("2.name").alias("attribute"), "token"
+        )
+        p = partition_attributes(attr_tokens.unionByName(twin), threshold=1.0)
+        c = {r["attribute"]: r["cluster"] for r in p.toArrow().to_pylist()}
+        assert c.pop("1.name") == c.pop("2.name") == 1
+        assert set(c.values()) == {BLOB_CLUSTER}
+
     def test_tiny_threshold_merges_more(self, attr_tokens):
         p = partition_attributes(attr_tokens, threshold=0.01)
         non_blob = {r["attribute"] for r in p.collect() if r["cluster"] != BLOB_CLUSTER}

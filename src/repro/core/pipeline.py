@@ -59,13 +59,16 @@ class BlockerConfig:
                 "manual_clusters needs loose_schema=True; schema-agnostic "
                 "blocking has no attribute clusters"
             )
+        meta_blocking.check_options(
+            self.weight_scheme, self.pruning, blast_c=self.blast_c, cnp_k=self.cnp_k
+        )
 
 
 def _count_profiles(source_a: DataFrame, source_b: DataFrame, profiles: DataFrame) -> int:
     """The number of profiles (pids with a value in ``profiles``), in one
     aggregation that also checks the sources' wide ``id`` columns: raises
-    ``ValueError`` unless every id is a non-null integer that occurs once
-    in the two sources."""
+    ``ValueError`` unless every id is non-null and occurs once in the two
+    sources (``to_profiles`` has checked that their type is integral)."""
     def ids(src: DataFrame, source: int) -> DataFrame:
         return src.select(
             F.col("id").cast("long").alias("id"), F.lit(source).alias("source"), F.lit(True).alias("wide")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import IntegralType
 
 
 def attr_name(source: int, column: str) -> str:
@@ -29,8 +30,14 @@ def to_profiles(df: DataFrame, *, source: int) -> DataFrame:
 
     Every column but ``id`` becomes an attribute; values are cast to string;
     null and empty values are dropped (a missing attribute simply does not
-    exist in a schema-agnostic profile).
+    exist in a schema-agnostic profile). Raises ``ValueError`` on the
+    driver, before any Spark job, when ``id`` is not of an integral type.
     """
+    id_type = df.schema["id"].dataType
+    if not isinstance(id_type, IntegralType):
+        raise ValueError(
+            f"profile ids of source {source} are null or not integers: id is {id_type.simpleString()}"
+        )
     value_cols = [c for c in df.columns if c != "id"]
     if not value_cols:
         raise ValueError("source DataFrame has no attribute columns")
@@ -55,9 +62,9 @@ def load_clean_clean(df_a: DataFrame, df_b: DataFrame) -> DataFrame:
     """Union the two sources into one profile collection.
 
     Profile ids must be non-null integers, unique within and across the
-    sources (the synthetic generator guarantees this). This function does
-    not check it; ``repro.core.pipeline.run_blocker`` does, in the
-    aggregation that counts the profiles, and raises ``ValueError``
-    otherwise.
+    sources (the synthetic generator guarantees this). ``to_profiles``
+    rejects an id column that is not of an integral type;
+    ``repro.core.pipeline.run_blocker`` checks the rest in the aggregation
+    that counts the profiles, and raises ``ValueError`` otherwise.
     """
     return to_profiles(df_a, source=1).unionByName(to_profiles(df_b, source=2))

@@ -40,10 +40,8 @@ def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
     )
     bc_secs = time.perf_counter() - t0
 
-    pairs_df, pairs_bc = (
-        set(zip(*c.select("p1", "p2").toArrow().to_pydict().values())) for c in (df_cands, bc_cands)
-    )
-    sym_diff = len(pairs_df ^ pairs_bc)
+    both = pair_metrics(df_cands, bc_cands)
+    sym_diff = both.n_pairs + both.n_gt - 2 * both.n_true
 
     rows = []
     for label, cands, secs in [

@@ -1,8 +1,8 @@
 """Tables built on the driver reach Spark as Arrow batches.
 
 The attribute partition, the cluster entropies, the debug sample, the
-similarity features and the entity clusters are handed to Spark as
-pyarrow tables, so no Python worker has to unpickle their rows for a job
+similarity features, the entity clusters and the lost pairs are handed
+to Spark as pyarrow tables, so no Python worker has to unpickle their rows for a job
 that reads them, whether they have rows or not. A zero-row input still
 gives a zero-row table with the documented schema.
 """
@@ -11,6 +11,7 @@ from pyspark.sql import functions as F
 
 from repro.core.clusterer import cluster_entities
 from repro.core.pipeline import NAME_ATTRS
+from repro.debug.evaluation import lost_pairs
 from repro.debug.sampling import debug_sample
 from repro.looseschema.entropy import cluster_entropies
 from repro.looseschema.partitioning import manual_partition, partition_attributes
@@ -23,6 +24,7 @@ SCHEMAS = {
     "debug_sample": "struct<pid:bigint,reason:string>",
     "cluster_entities": "struct<pid:bigint,entity:bigint>",
     "add_similarities": "struct<p1:bigint,p2:bigint,jaccard:double,cosine:double,lev_norm:double>",
+    "lost_pairs": "struct<p1:bigint,p2:bigint>",
 }
 
 
@@ -37,6 +39,8 @@ def _build(name, spark, profiles, tokens, matches):
         return cluster_entropies(tokens.select(F.col("source").alias("cluster"), "token"))
     if name == "debug_sample":
         return debug_sample(profiles, tokens, big_k=10, small_k=4, seed=9)
+    if name == "lost_pairs":
+        return lost_pairs(matches.limit(0), matches)
     return cluster_entities(matches)
 
 

@@ -52,10 +52,14 @@ class TestPairMetricsSpark:
 
 
 def _pandas_recount(pairs, gt):
-    """(n_pairs, n_gt, n_true) over distinct pairs; a null id never matches."""
-    p = pd.DataFrame(pairs, columns=["p1", "p2"], dtype="float").drop_duplicates()
-    g = pd.DataFrame(gt, columns=["p1", "p2"], dtype="float").drop_duplicates()
-    return len(p), len(g), len(p.dropna().merge(g.dropna(), on=["p1", "p2"]))
+    """(n_pairs, n_gt, n_true) over distinct pairs, and the lost pairs:
+    the distinct ground truth minus the pairs; a null id never matches."""
+    p = pd.DataFrame(pairs, columns=["p1", "p2"], dtype="Int64").drop_duplicates()
+    g = pd.DataFrame(gt, columns=["p1", "p2"], dtype="Int64").drop_duplicates()
+    true = p.dropna().merge(g.dropna(), on=["p1", "p2"])
+    lost = {tuple(None if pd.isna(v) else int(v) for v in row) for row in g.itertuples(index=False)}
+    lost -= set(true.astype(int).itertuples(index=False, name=None))
+    return (len(p), len(g), len(true)), lost
 
 
 @pytest.mark.parametrize(
@@ -66,13 +70,33 @@ def _pandas_recount(pairs, gt):
         ([(1, 11), (2, 12)], []),
         ([(1, 11), (2, 12)], [(3, 13), (4, 14)]),
         ([(None, 11), (None, 11), (1, 11), (2, None)], [(None, 11), (1, 11)]),
+        ([(2**62, 2**62 + 1), (2**62, 2**62 + 2)], [(2**62, 2**62 + 1), (2**62 + 1, 2**62 + 3)]),
     ],
-    ids=["duplicates", "empty-pairs", "empty-gt", "disjoint", "null-id"],
+    ids=["duplicates", "empty-pairs", "empty-gt", "disjoint", "null-id", "ids-above-2^53"],
 )
 def test_pair_metrics_matches_pandas_recount(spark, pairs, gt):
+    """The counts and the lost pairs, null-id ground-truth rows included,
+    equal a pandas recount over exact int64 ids."""
     schema = "p1 long, p2 long"
-    m = pair_metrics(spark.createDataFrame(pairs, schema), spark.createDataFrame(gt, schema))
-    assert (m.n_pairs, m.n_gt, m.n_true) == _pandas_recount(pairs, gt)
+    pairs_df, gt_df = spark.createDataFrame(pairs, schema), spark.createDataFrame(gt, schema)
+    counts, lost = _pandas_recount(pairs, gt)
+    m = pair_metrics(pairs_df, gt_df)
+    assert (m.n_pairs, m.n_gt, m.n_true) == counts
+    got = lost_pairs(pairs_df, gt_df).toArrow()
+    assert sorted(zip(*got.to_pydict().values()), key=repr) == sorted(lost, key=repr)
+
+
+def test_pair_metrics_job_budget(spark, blocker_out, er):
+    """Scoring the fixture's candidates takes one collect of each pair
+    set; the comparison with the ground truth runs no Spark job."""
+    sc = spark.sparkContext
+    group = "pair-metrics-budget"
+    sc.setJobGroup(group, "pair_metrics")
+    try:
+        pair_metrics(blocker_out["candidates"], er[2])
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 2
 
 
 class TestLostPairs:

@@ -88,6 +88,27 @@ def test_null_pid_raises(spark):
         run_blocker(spark, a, b, BlockerConfig())
 
 
+@pytest.mark.parametrize("ddl, ids", [
+    ("id double, name string", (1.5, 2.5)),
+    ("id string, name string", ("x1", "2")),
+], ids=["fractional", "string"])
+def test_non_integer_id_type_raises_before_any_job(spark, ddl, ids):
+    """An id column that is not of an integral type is rejected from the
+    schema: a fractional id would be truncated into a pid, a string id
+    would fail inside a Spark job."""
+    a = spark.createDataFrame([(ids[0], "sony tv"), (ids[1], "canon camera")], ddl)
+    b = spark.createDataFrame([(3, "sony tv"), (4, "nikon camera")], ["id", "title"])
+    sc = spark.sparkContext
+    group = f"id-type {ddl}"
+    sc.setJobGroup(group, "run_blocker")
+    try:
+        with pytest.raises(ValueError, match="profile ids of source 1 are null or not integers"):
+            run_blocker(spark, a, b, BlockerConfig())
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+
 def test_manual_clusters_without_loose_schema_raises():
     """Schema-agnostic blocking has no attribute clusters, so a manual
     partition would be ignored: the config is rejected before any Spark
@@ -95,6 +116,19 @@ def test_manual_clusters_without_loose_schema_raises():
     with pytest.raises(ValueError, match="manual_clusters needs loose_schema=True"):
         BlockerConfig(loose_schema=False, manual_clusters={"1.name": 1, "2.title": 1})
     BlockerConfig(loose_schema=False, use_entropy=True)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"pruning": "bogus"}, "unknown pruning"),
+    ({"weight_scheme": "bogus"}, "unknown scheme"),
+    ({"cnp_k": 0}, "cnp_k must be"),
+    ({"blast_c": 1.5}, "blast_c must be"),
+], ids=["pruning", "scheme", "cnp_k", "blast_c"])
+def test_bad_meta_blocking_options_rejected_by_config(kw, message):
+    """The meta-blocking options are checked when the config is built,
+    not after the Blocker's first Spark jobs."""
+    with pytest.raises(ValueError, match=message):
+        BlockerConfig(**kw)
 
 
 def test_blast_c_reaches_meta_blocking(spark, er):

@@ -18,7 +18,7 @@ from pyspark.sql import functions as F
 
 from repro.core import blocking, filtering, meta_blocking, purging
 from repro.core.clusterer import cluster_entities
-from repro.core.profiles import load_clean_clean
+from repro.core.profiles import count_profiles, load_clean_clean
 from repro.core.tokens import tokenize
 from repro.looseschema import entropy as entropy_mod
 from repro.looseschema import partitioning
@@ -62,37 +62,9 @@ class BlockerConfig:
         meta_blocking.check_options(
             self.weight_scheme, self.pruning, blast_c=self.blast_c, cnp_k=self.cnp_k
         )
-
-
-def _count_profiles(source_a: DataFrame, source_b: DataFrame, profiles: DataFrame) -> int:
-    """The number of profiles (pids with a value in ``profiles``), in one
-    aggregation that also checks the sources' wide ``id`` columns: raises
-    ``ValueError`` unless every id is non-null and occurs once in the two
-    sources (``to_profiles`` has checked that their type is integral)."""
-    def ids(src: DataFrame, source: int) -> DataFrame:
-        return src.select(
-            F.col("id").cast("long").alias("id"), F.lit(source).alias("source"), F.lit(True).alias("wide")
-        )
-
-    rows = ids(source_a, 1).unionByName(ids(source_b, 2)).unionByName(
-        profiles.select(F.col("pid").alias("id"), "source", F.lit(False).alias("wide"))
-    )
-    wide_id = F.when(F.col("wide"), F.col("id"))
-    n_rows, n_ids, n_id_sources, n_distinct, n_profiles = rows.agg(
-        F.count(F.when(F.col("wide"), 1)), F.count(wide_id), F.countDistinct(wide_id, "source"),
-        F.countDistinct(wide_id), F.countDistinct(F.when(~F.col("wide"), F.col("id"))),
-    ).first()
-    for bad, what in [
-        (n_rows - n_ids, "are null or not integers"),
-        (n_ids - n_id_sources, "repeat within a source"),
-        (n_id_sources - n_distinct, "occur in both sources"),
-    ]:
-        if bad:
-            raise ValueError(
-                f"{bad} profile ids {what}; clean-clean ER needs one integer id "
-                "per profile, unique within and across the sources"
-            )
-    return n_profiles
+        for name in ("lsh_threshold", "purge_max_frac", "filter_ratio"):
+            if not 0 < (value := getattr(self, name)) <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {value!r}")
 
 
 def run_blocker(
@@ -106,13 +78,13 @@ def run_blocker(
     Raises ``ValueError`` when a profile id is null or not an integer,
     repeats within a source, or occurs in both sources.
 
-    Keys: profiles, tokens, attr_clusters, entropies, blocks_raw,
-    blocks_purged, blocks, candidates (post-meta-blocking when enabled,
-    else the post-filtering comparisons), n_profiles (the number of
-    profiles, an int).
+    Keys: profiles (lazy, re-derived from the sources by each reader),
+    tokens, attr_clusters, entropies, blocks_raw, blocks_purged, blocks,
+    candidates (post-meta-blocking when enabled, else the post-filtering
+    comparisons), n_profiles (the number of profiles, an int).
     """
-    profiles = _mat(load_clean_clean(source_a, source_b))
-    n_profiles = _count_profiles(source_a, source_b, profiles)
+    profiles = load_clean_clean(source_a, source_b)
+    n_profiles = count_profiles(source_a, source_b)
     tokens = _mat(tokenize(profiles))
 
     attr_clusters = entropies = None

@@ -15,6 +15,9 @@ public function of that name.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,3 +130,24 @@ def test_every_option_is_set_by_some_caller():
             if arg not in names and not (i is not None and npos > i)
         ]
     assert not unset, f"options that no caller sets: {unset}"
+
+
+def test_every_traced_layer_function_exists():
+    """The traced benchmark wraps each function of ``perfbench/tracing.py``
+    ``LAYERS`` by name, and a name that no longer exists just drops out of
+    the trace. Only minhash's ``band_buckets`` and ``candidate_pairs`` are
+    gone: LSH banding runs in numpy inside ``partition_attributes``."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracing  # dataclasses look their module up here
+    spec.loader.exec_module(tracing)
+    missing = {
+        (module, fn)
+        for module, fns in tracing.LAYERS.values()
+        for fn in fns
+        if not hasattr(importlib.import_module(module), fn)
+    }
+    assert missing <= {
+        ("repro.looseschema.minhash", "band_buckets"),
+        ("repro.looseschema.minhash", "candidate_pairs"),
+    }

@@ -80,6 +80,30 @@ def test_pid_repeated_within_a_source_raises(spark):
         run_blocker(spark, a, b, BlockerConfig())
 
 
+def test_repeated_id_rejected_within_three_jobs(spark):
+    """The id check reads only the two sources, in one aggregation: a
+    repeated id fails before any profile or token is materialised."""
+    a = spark.createDataFrame([(1, "sony tv"), (1, "canon camera")], ["id", "name"])
+    b = spark.createDataFrame([(3, "sony tv"), (4, "nikon camera")], ["id", "title"])
+    sc = spark.sparkContext
+    sc.setJobGroup("repeated-id", "run_blocker")
+    try:
+        with pytest.raises(ValueError, match="1 profile ids repeat within a source"):
+            run_blocker(spark, a, b, BlockerConfig())
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup("repeated-id")) <= 3
+
+
+def test_row_without_values_is_not_a_profile(spark):
+    """A source row whose values are all null or blank has no attribute, so
+    it is not counted among the profiles that purging divides by."""
+    a = spark.createDataFrame([(1, "sony tv", None), (2, " ", None)], "id long, name string, price double")
+    b = spark.createDataFrame([(3, "sony tv", "tv"), (4, None, "")], "id long, title string, kind string")
+    out = run_blocker(spark, a, b, BlockerConfig(loose_schema=False, run_meta_blocking=False))
+    assert out["n_profiles"] == 2
+
+
 def test_null_pid_raises(spark):
     """A null id would become a profile with a null pid whose tokens block."""
     a = spark.createDataFrame([(None, "sony tv"), (2, "canon camera")], "id long, name string")
@@ -131,6 +155,20 @@ def test_bad_meta_blocking_options_rejected_by_config(kw, message):
         BlockerConfig(**kw)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("filter_ratio", 0), ("filter_ratio", 1.5),
+    ("purge_max_frac", 0), ("purge_max_frac", float("nan")),
+    ("lsh_threshold", 1.5), ("lsh_threshold", -0.2), ("lsh_threshold", float("nan")),
+])
+def test_out_of_range_blocking_settings_rejected_by_config(name, value):
+    """Purging, filtering and the LSH threshold take a fraction in (0, 1];
+    any other value is rejected when the config is built, before the
+    Blocker's first Spark job, and 1 is accepted."""
+    with pytest.raises(ValueError, match=f"{name} must be in"):
+        BlockerConfig(**{name: value})
+    BlockerConfig(**{name: 1.0})
+
+
 def test_blast_c_reaches_meta_blocking(spark, er):
     """``BlockerConfig.blast_c`` is the BLAST pruning constant the Blocker
     uses: its candidates are meta-blocking's with that constant, and a
@@ -150,8 +188,8 @@ def test_blast_c_reaches_meta_blocking(spark, er):
 
 
 @pytest.mark.parametrize("cfg, budget", [
-    (BlockerConfig(), 31),
-    (BlockerConfig(loose_schema=False), 20),
+    (BlockerConfig(), 30),
+    (BlockerConfig(loose_schema=False), 19),
 ], ids=["loose-schema", "schema-agnostic"])
 def test_blocker_job_budget(spark, er, cfg, budget):
     """The Blocker, id check included, runs at most ``budget`` Spark jobs

@@ -63,8 +63,9 @@ def to_profiles(df: DataFrame, *, source: int) -> DataFrame:
 
 
 def load_clean_clean(df_a: DataFrame, df_b: DataFrame) -> DataFrame:
-    """Union the two sources into one profile collection, lazily.
-    ``count_profiles`` checks that the ids are unique across it."""
+    """Union the two sources into one profile collection, lazily. Profile
+    ids must be non-null integers, unique within and across the sources:
+    ``to_profiles`` rejects an ``id`` type, ``count_profiles`` the rest."""
     return to_profiles(df_a, source=1).unionByName(to_profiles(df_b, source=2))
 
 

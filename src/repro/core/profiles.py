@@ -80,7 +80,7 @@ def count_profiles(df_a: DataFrame, df_b: DataFrame) -> int:
 
     n_rows, n_ids, n_id_sources, n_distinct, n_profiles = rows(df_a, 1).unionByName(rows(df_b, 2)).agg(
         F.count("*"), F.count("pid"), F.countDistinct("pid", "source"), F.countDistinct("pid"),
-        F.count(F.when(F.col("present"), 1)),
+        F.count_if("present"),
     ).first()
     for bad, what in [
         (n_rows - n_ids, "are null or not integers"),

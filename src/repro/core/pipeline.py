@@ -89,18 +89,20 @@ def run_blocker(
 
     attr_clusters = entropies = None
     if cfg.loose_schema:
+        # one row per (attribute, token), read by the partition and the entropies
+        counts = partitioning.attribute_token_counts(tokens)
         if cfg.manual_clusters is not None:
-            attr_clusters = partitioning.manual_partition(
-                spark, tokens.select("attribute"), cfg.manual_clusters
-            )
+            attr_clusters = partitioning.manual_partition(spark, counts, cfg.manual_clusters)
         else:
-            attr_clusters = partitioning.partition_attributes(tokens, threshold=cfg.lsh_threshold)
+            attr_clusters = partitioning.partition_attributes(
+                spark, counts, threshold=cfg.lsh_threshold
+            )
         # one row per attribute, built on the driver: broadcast, not shuffled
         tagged = tokens.join(F.broadcast(attr_clusters), "attribute")
         blocks_raw = blocking.loose_schema_blocking(tagged)
         if cfg.use_entropy:
             # k rows, one per cluster, built on the driver: nothing to checkpoint
-            entropies = entropy_mod.cluster_entropies(tagged.select("cluster", "token"))
+            entropies = entropy_mod.cluster_entropies(counts, attr_clusters)
     else:
         blocks_raw = blocking.token_blocking(tokens)
 

@@ -10,42 +10,42 @@ cluster that generated the block.
 Entropies are normalized to (0, 1] by the maximum cluster entropy so the
 re-weighting rescales rather than changes units; a degenerate collection
 where every cluster has zero entropy normalizes to 1.0 everywhere (no-op).
-Spark computes the entropies; the k cluster rows are then collected and
-normalized on the driver, and handed back to Spark as a pyarrow table.
+The entropies are numpy sums over the collected per-``(attribute, token)``
+counts (``partitioning.attribute_token_counts``); the k cluster rows reach
+Spark as a pyarrow table.
 """
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
-def cluster_entropies(tokens_with_cluster: DataFrame) -> DataFrame:
+def cluster_entropies(counts: pa.Table, attr_clusters: DataFrame) -> DataFrame:
     """Shannon entropy per cluster; returns ``(cluster, entropy, entropy_norm)``,
     a table built on the driver.
 
-    Input must carry ``(cluster, token)`` rows — one per token *occurrence
-    assignment* (pid, attribute, token), i.e. the tokenizer output joined
-    with the attribute partition. The distribution is over token types
-    within the cluster.
+    ``counts`` holds ``attribute_token_counts``' ``(attribute, token, n)``
+    rows, and ``attr_clusters`` the partition, which is collected. A
+    cluster's distribution is over token types, each counted by the sum
+    of ``n`` over the cluster's attributes.
     """
-    counts = tokens_with_cluster.groupBy("cluster", "token").count()
+    occ = (
+        counts.join(attr_clusters.select("attribute", "cluster").toArrow(), "attribute")
+        .group_by(["cluster", "token"])
+        .aggregate([("n", "sum")])
+    )
+    cluster, k = np.unique(occ["cluster"].to_numpy(), return_inverse=True)
+    n = occ["n_sum"].to_numpy().astype(np.float64)
     # H = -sum(n/T * log2(n/T)) = log2(T) - S/T with T = sum(n), S = sum(n * log2(n)).
     # A cluster of one token type has H = 0 exactly; in floats S/T can come
     # out an ulp below log2(T) (e.g. T = 13), so it is not left to the formula.
-    ent = counts.groupBy("cluster").agg(
-        F.count(F.lit(1)).alias("types"),
-        F.sum("count").alias("t"),
-        F.sum(F.col("count") * F.log2("count")).alias("s"),
-    ).select(
-        "cluster",
-        F.when(F.col("types") > 1, F.log2("t") - F.col("s") / F.col("t"))
-        .otherwise(F.lit(0.0))
-        .alias("entropy"),
-    )
-    pdf = ent.toPandas()  # one row per cluster
-    m = pdf["entropy"].max()  # NaN when there is no cluster
-    pdf["entropy_norm"] = pdf["entropy"] / m if m > 0 else 1.0
-    return tokens_with_cluster.sparkSession.createDataFrame(
-        pa.table(pdf), "cluster int, entropy double, entropy_norm double"
+    t = np.bincount(k, n, len(cluster))
+    s = np.bincount(k, n * np.log2(n), len(cluster))
+    entropy = np.where(np.bincount(k, minlength=len(cluster)) > 1, np.log2(t) - s / t, 0.0)
+    m = entropy.max(initial=0.0)
+    norm = entropy / m if m > 0 else np.ones_like(entropy)
+    return attr_clusters.sparkSession.createDataFrame(
+        pa.table({"cluster": cluster, "entropy": entropy, "entropy_norm": norm}),
+        "cluster int, entropy double, entropy_norm double",
     )

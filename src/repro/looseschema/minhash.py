@@ -1,16 +1,15 @@
-"""MinHash signatures in Spark; LSH banding and similarity estimation in numpy.
+"""MinHash signatures, LSH banding and similarity estimation, in numpy.
 
 Used by loose-schema attribute partitioning: each attribute is represented
 by the set of tokens occurring in its values; MinHash signatures estimate
 Jaccard similarity between attributes, and LSH banding proposes candidate
 attribute pairs without the quadratic all-pairs comparison.
 
-Only the signature step scales with the data, so ``signatures`` is the one
-distributed step (pure DataFrame, no UDFs). Everything after it works on
-one row per item: ``signature_matrix`` collects the signatures to the
-driver as an ``items × num_hashes`` int64 matrix, and banding, candidate
-pairs and similarity estimates are computed on that matrix. The driver
-bound is the matrix itself: 10⁵ attributes × 128 hashes ≈ 100 MB of int64.
+Only :func:`fold` is a Spark expression, evaluated by the counts
+aggregation of ``repro.looseschema.partitioning``. ``signatures`` turns
+the collected ``(attribute, x)`` rows into an ``items × num_hashes``
+int64 matrix (10⁵ attributes × 128 hashes ≈ 100 MB), which banding,
+candidate pairs and similarity estimates read.
 
 Hash family: ``h_i(t) = (a_i * x + b_i) mod P`` over
 ``x = xxhash64(token) mod P``, with ``a_i, b_i`` drawn from a seeded
@@ -19,7 +18,7 @@ same size as the ``x`` domain so the affine map wraps around many times
 and behaves like a random permutation — with a modulus much larger than
 ``a_i * x`` the map is monotone in ``x`` and every hash function elects
 the same minimum token, collapsing the signature (we hit exactly that bug
-with a 2^61-1 modulus). ``a_i * x < 2^62`` fits a signed 64-bit long.
+with a 2^61-1 modulus). ``a_i * x + b_i < 2^63`` fits an int64.
 
 Banding buckets items by exact equality of each band's min-hash tuple. An
 earlier DataFrame implementation bucketed by ``xxhash64`` of the
@@ -31,7 +30,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from pyspark.sql import DataFrame
+import pyarrow as pa
+from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 _P = (1 << 31) - 1
@@ -44,42 +44,25 @@ def _coefficients(num_hashes: int, seed: int) -> tuple[list[int], list[int]]:
     return a, b
 
 
+def fold(token: Column) -> Column:
+    """``x``: the token's ``xxhash64``, which is signed, folded into [0, P)."""
+    return (F.xxhash64(token) % _P + _P) % _P
+
+
 def signatures(
-    item_tokens: DataFrame,
-    *,
-    item_col: str = "item",
-    token_col: str = "token",
-    num_hashes: int = 128,
-    seed: int = 42,
-) -> DataFrame:
-    """MinHash signatures: one row per ``(item, hash_id, min_value)``.
-
-    ``item_tokens`` must be distinct per (item, token).
-    """
-    a, b = _coefficients(num_hashes, seed)
-    # xxhash64 is signed; fold into [0, P) before the affine map.
-    x = (F.xxhash64(F.col(token_col)) % _P + _P) % _P
-    hashed = item_tokens.select(
-        F.col(item_col).alias("item"),
-        x.alias("x"),
-        F.posexplode(F.array([F.lit(v) for v in a])).alias("hash_id", "a"),
-    ).withColumn("b", F.element_at(F.array([F.lit(v) for v in b]), F.col("hash_id") + 1))
-    val = (F.col("a") * F.col("x") + F.col("b")) % _P
-    return (
-        hashed.select("item", "hash_id", val.alias("h"))
-        .groupBy("item", "hash_id")
-        .agg(F.min("h").alias("min_hash"))
+    counts: pa.Table, *, num_hashes: int = 128, seed: int = 42
+) -> tuple[list[str], np.ndarray]:
+    """The attributes of the ``(attribute, x)`` rows in name order, and the
+    ``attributes × num_hashes`` matrix of ``min((a·x + b) % P)`` over each
+    attribute's rows, in any order and repeats allowed."""
+    counts = counts.sort_by("attribute")
+    items, starts = np.unique(
+        counts["attribute"].to_numpy(zero_copy_only=False), return_index=True
     )
-
-
-def signature_matrix(sigs: DataFrame, num_hashes: int) -> tuple[list[str], np.ndarray]:
-    """Collect ``signatures`` to the driver: the items in name order and the
-    ``items × num_hashes`` int64 matrix whose row ``i`` is item ``i``'s
-    signature."""
-    pdf = sigs.select("item", "hash_id", "min_hash").toPandas()
-    items, row = np.unique(pdf["item"].to_numpy(object), return_inverse=True)
-    sig = np.zeros((len(items), num_hashes), np.int64)
-    sig[row, pdf["hash_id"].to_numpy(np.int64)] = pdf["min_hash"].to_numpy(np.int64)
+    x = counts["x"].to_numpy()
+    sig = np.empty((len(items), num_hashes), np.int64)
+    for i, (a, b) in enumerate(zip(*_coefficients(num_hashes, seed))):
+        sig[:, i] = np.minimum.reduceat((a * x + b) % _P, starts)
     return items.tolist(), sig
 
 

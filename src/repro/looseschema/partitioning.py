@@ -12,10 +12,12 @@ Pipeline, as described in the paper:
    union-find the Entity Clusterer uses too).
 4. Attributes in no cluster fall into the **blob** partition, cluster 0.
 
-Only the MinHash signatures are computed in Spark. Steps 1-3 work on one
-row per attribute (a handful here, about 10⁵ at Blast's DBpedia scale),
-so they run in numpy on the driver over the collected signature matrix,
-and the partition table is handed to Spark as a pyarrow table.
+The one Spark step is :func:`attribute_token_counts`, one aggregation of
+the tokens into ``(attribute, token, x, n)`` rows collected as a pyarrow
+table. The partition and the cluster entropies (``repro.looseschema.entropy``)
+read it on the driver in numpy, and each result reaches Spark as a
+pyarrow table. The driver holds a string and two int64 per distinct
+``(attribute, token)``: no more rows than ``add_similarities`` collects.
 
 A ``manual`` override lets the demo's supervised mode (Figure 6c) replace
 the learned partition with a user-drawn one.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.graph.connected_components import connected_components
 from repro.looseschema import minhash
@@ -32,9 +35,15 @@ from repro.looseschema import minhash
 BLOB_CLUSTER = 0
 
 
-def attribute_tokens(tokens: DataFrame) -> DataFrame:
-    """Distinct ``(attribute, token)`` pairs — each attribute's token set."""
-    return tokens.select("attribute", "token").distinct()
+def attribute_token_counts(tokens: DataFrame) -> pa.Table:
+    """One collected row per distinct ``(attribute, token)``: ``x`` is the
+    token's ``minhash.fold`` and ``n`` its number of token rows."""
+    return (
+        tokens.groupBy("attribute", "token")
+        .agg(F.count(F.lit(1)).alias("n"))
+        .select("attribute", "token", minhash.fold(F.col("token")).alias("x"), "n")
+        .toArrow()
+    )
 
 
 def best_partners(
@@ -67,47 +76,45 @@ def closure(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def partition_attributes(
-    tokens: DataFrame,
+    spark: SparkSession,
+    counts: pa.Table,
     *,
     threshold: float = 0.3,
     num_hashes: int = 128,
     rows_per_band: int = 2,
 ) -> DataFrame:
-    """Learn the attribute partition; returns ``(attribute, cluster)``.
+    """Learn the attribute partition of the :func:`attribute_token_counts`
+    rows; returns ``(attribute, cluster)``.
 
-    Every attribute present in ``tokens`` appears in the output exactly
-    once; cluster ids are 1..k for learned clusters, ordered by each
-    cluster's smallest attribute name, and 0 for the blob. A pair links
-    at ``sim >= threshold``, so at 1.0 only attributes with identical
-    MinHash signatures (e.g. identical token sets) form a cluster; when
-    none agree, everything is the blob: schema-agnostic blocking.
+    Every attribute of ``counts`` appears exactly once, in name order;
+    cluster ids are 1..k for learned clusters, ordered by each cluster's
+    smallest attribute name, and 0 for the blob. A pair links at ``sim >=
+    threshold``, so at 1.0 only attributes with identical MinHash
+    signatures (e.g. identical token sets) form a cluster; when none
+    agree, everything is the blob: schema-agnostic blocking.
     """
-    sigs = minhash.signatures(
-        attribute_tokens(tokens), item_col="attribute", token_col="token",
-        num_hashes=num_hashes,
-    )
-    attrs, sig = minhash.signature_matrix(sigs, num_hashes)
+    attrs, sig = minhash.signatures(counts, num_hashes=num_hashes)
     pairs = minhash.banded_pairs(minhash.band_keys(sig, rows_per_band=rows_per_band))
     sim = minhash.estimated_similarity(sig, pairs)
     cluster = closure(len(attrs), *best_partners(pairs, sim, threshold))
-    return tokens.sparkSession.createDataFrame(
+    return spark.createDataFrame(
         pa.table({"attribute": attrs, "cluster": cluster}), "attribute string, cluster int"
     )
 
 
 def manual_partition(
     spark: SparkSession,
-    attributes: DataFrame,
+    counts: pa.Table,
     clusters: dict[str, int],
 ) -> DataFrame:
     """Supervised mode: the user assigns attributes to clusters by hand.
 
     ``clusters`` maps source-qualified attribute names to cluster ids
     (use ids >= 1; unlisted attributes fall into the blob). Like
-    ``partition_attributes``, the table is built on the driver, one row
-    per distinct attribute in name order.
+    ``partition_attributes``, the table has one row per distinct
+    attribute of the :func:`attribute_token_counts` rows, in name order.
     """
-    names = sorted(attributes.select("attribute").distinct().toArrow()["attribute"].to_pylist())
+    names = np.unique(counts["attribute"].to_numpy(zero_copy_only=False)).tolist()
     cluster = [int(clusters.get(a, BLOB_CLUSTER)) for a in names]
     return spark.createDataFrame(
         pa.table({"attribute": names, "cluster": cluster}), "attribute string, cluster int"

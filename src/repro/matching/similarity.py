@@ -92,19 +92,18 @@ def _rows(pids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.where(pids[at] == ids, at, -1)
 
 
-def name_values(profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
-    """One representative "name" string per profile: the first non-null
-    value among ``name_attrs`` (source-qualified), lowercased with the
-    tokenizer's ``fold_case``."""
-    order = {a: i for i, a in enumerate(name_attrs)}
-    mapping = F.create_map(
-        *[x for a in name_attrs for x in (F.lit(a), F.lit(order[a]))]
-    )
-    ranked = (
+def name_values(profiles: DataFrame, name_attrs: list[str]) -> pd.DataFrame:
+    """The collected ``(pid, name)`` rows: each profile's value of its
+    source's attribute in ``name_attrs`` (source-qualified, one per
+    source), folded with the tokenizer's ``fold_case``."""
+    nv = (
         profiles.where(F.col("attribute").isin(name_attrs))
-        .withColumn("prio", mapping[F.col("attribute")])
+        .select("pid", fold_case(F.col("value")).alias("name"))
+        .toPandas()
     )
-    return ranked.groupBy("pid").agg(F.min_by(fold_case(F.col("value")), "prio").alias("name"))
+    if len(dup := nv["pid"][nv["pid"].duplicated()]):
+        raise ValueError(f"profile {dup.iloc[0]} has a value for more than one of {name_attrs}")
+    return nv
 
 
 def add_similarities(
@@ -130,7 +129,7 @@ def add_similarities(
         chunk = slice(lo, lo + CHUNK_PAIRS)
         jaccard[chunk], cosine[chunk] = _score(idx, r1[chunk], r2[chunk])
 
-    nv = name_values(profiles, name_attrs).toPandas()
+    nv = name_values(profiles, name_attrs)
     names = np.full(len(idx.pids), None, dtype=object)
     at = _rows(idx.pids, nv["pid"].to_numpy(np.int64))
     names[at[at >= 0]] = nv["name"].to_numpy(object)[at >= 0]

@@ -7,7 +7,7 @@ from repro.core.blocking import (
     loose_schema_blocking,
     token_blocking,
 )
-from repro.looseschema.partitioning import manual_partition
+from repro.looseschema.partitioning import attribute_token_counts, manual_partition
 from tests.oracle import assert_equivalent, block_sizes
 
 
@@ -68,7 +68,7 @@ class TestLooseSchemaBlocking:
         # abstracts and year in the blob.
         return manual_partition(
             spark,
-            toy_tokens.select("attribute"),
+            attribute_token_counts(toy_tokens),
             {"1.name": 1, "2.title": 1, "1.authors": 2, "2.author": 2},
         ).localCheckpoint(eager=True)
 

@@ -7,14 +7,17 @@ that reads them, whether they have rows or not. A zero-row input still
 gives a zero-row table with the documented schema.
 """
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.clusterer import cluster_entities
 from repro.core.pipeline import NAME_ATTRS
 from repro.debug.evaluation import lost_pairs
 from repro.debug.sampling import debug_sample
 from repro.looseschema.entropy import cluster_entropies
-from repro.looseschema.partitioning import manual_partition, partition_attributes
+from repro.looseschema.partitioning import (
+    attribute_token_counts,
+    manual_partition,
+    partition_attributes,
+)
 from repro.matching.similarity import add_similarities
 
 SCHEMAS = {
@@ -32,11 +35,11 @@ def _build(name, spark, profiles, tokens, matches):
     if name == "add_similarities":
         return add_similarities(matches, tokens, profiles, name_attrs=NAME_ATTRS)
     if name == "partition_attributes":
-        return partition_attributes(tokens)
-    if name == "manual_partition":
-        return manual_partition(spark, tokens.select("attribute"), {"1.name": 1, "2.title": 1})
-    if name == "cluster_entropies":
-        return cluster_entropies(tokens.select(F.col("source").alias("cluster"), "token"))
+        return partition_attributes(spark, attribute_token_counts(tokens))
+    if name in ("manual_partition", "cluster_entropies"):
+        counts = attribute_token_counts(tokens)
+        part = manual_partition(spark, counts, {"1.name": 1, "2.title": 1})
+        return part if name == "manual_partition" else cluster_entropies(counts, part)
     if name == "debug_sample":
         return debug_sample(profiles, tokens, big_k=10, small_k=4, seed=9)
     if name == "lost_pairs":
@@ -78,4 +81,4 @@ def test_add_similarities_job_budget(spark, profiles, tokens, blocker_out):
         ).collect()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 4
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 3

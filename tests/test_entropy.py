@@ -2,17 +2,33 @@
 import math
 from collections import Counter, defaultdict
 
+import pyarrow as pa
 import pytest
 
 from repro.looseschema.entropy import cluster_entropies
 
 
-def _ent(spark, clusters: dict[int, list[str]]):
-    rows = [(c, t) for c, toks in clusters.items() for t in toks]
-    df = spark.createDataFrame(rows, ["cluster", "token"])
+def _ent(spark, clusters: dict[int, list[str]], attrs_per_cluster: int = 1):
+    """Entropies of clusters given as token occurrence lists. Occurrence
+    ``i`` of cluster ``c`` goes to attribute ``c.(i % attrs_per_cluster)``,
+    and the counts table holds each ``(attribute, token)`` once with its
+    occurrences ``n``."""
+    occ = Counter(
+        (f"{c}.{i % attrs_per_cluster}", t)
+        for c, toks in clusters.items() for i, t in enumerate(toks)
+    )
+    counts = pa.table({
+        "attribute": [a for a, _ in occ], "token": [t for _, t in occ],
+        "n": pa.array(list(occ.values()), pa.int64()),
+    })
+    attrs = sorted({a for a, _ in occ})
+    part = spark.createDataFrame(
+        pa.table({"attribute": attrs, "cluster": [int(a.split(".")[0]) for a in attrs]}),
+        "attribute string, cluster int",
+    )
     return {
         r["cluster"]: (r["entropy"], r["entropy_norm"])
-        for r in cluster_entropies(df).collect()
+        for r in cluster_entropies(counts, part).collect()
     }
 
 
@@ -34,6 +50,12 @@ class TestShannonEntropy:
         e = _ent(spark, {1: ["a", "a", "a", "b"]})
         expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
         assert e[1][0] == pytest.approx(expected)
+
+    def test_attributes_of_a_cluster_pool_their_counts(self, spark):
+        # "a" three times and "b" once, spread over two attributes
+        e = _ent(spark, {1: ["a", "a", "a", "b"], 2: ["a", "b", "b", "b"]}, attrs_per_cluster=2)
+        expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
+        assert e[1][0] == pytest.approx(expected) and e[2][0] == pytest.approx(expected)
 
     def test_high_variability_beats_low(self, spark):
         e = _ent(spark, {1: [f"t{i}" for i in range(32)], 2: ["x"] * 16 + ["y"] * 16})

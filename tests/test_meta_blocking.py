@@ -36,11 +36,11 @@ class TestFigure2Entropy:
         with cluster entropies chosen Figure-2-style: the author cluster
         (2) is high-entropy, the name cluster (1) lower, blob lowest."""
         from repro.core.blocking import loose_schema_blocking
-        from repro.looseschema.partitioning import manual_partition
+        from repro.looseschema.partitioning import attribute_token_counts, manual_partition
 
         part = manual_partition(
             spark,
-            toy_tokens.select("attribute"),
+            attribute_token_counts(toy_tokens),
             {"1.name": 1, "2.title": 1, "1.authors": 2, "2.author": 2},
         )
         blocks = loose_schema_blocking(toy_tokens.join(part, "attribute")).localCheckpoint(eager=True)

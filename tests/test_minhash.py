@@ -2,15 +2,20 @@
 import itertools
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 
 from repro.looseschema import minhash
+from repro.looseschema.partitioning import attribute_token_counts
+
+
+_P = (1 << 31) - 1
 
 
 def _sets_df(spark, sets: dict[str, set[str]]):
-    rows = [(k, t) for k, toks in sets.items() for t in toks]
-    return spark.createDataFrame(rows, ["item", "token"])
+    rows = [(k, t) for k, toks in sets.items() for t in sorted(toks)]
+    return spark.createDataFrame(rows, "attribute string, token string")
 
 
 def _exact_jaccard(sets: dict[str, set[str]]) -> dict[tuple[str, str], float]:
@@ -33,51 +38,16 @@ def word_sets():
 
 
 @pytest.fixture(scope="module")
-def sigs(spark, word_sets):
-    return minhash.signatures(
-        _sets_df(spark, word_sets), num_hashes=256
-    ).localCheckpoint(eager=True)
-
-
-class TestSignatures:
-    def test_one_row_per_item_and_hash(self, sigs, word_sets):
-        assert sigs.count() == len(word_sets) * 256
-
-    def test_deterministic(self, spark, word_sets):
-        df = _sets_df(spark, word_sets)
-        s1 = {tuple(r) for r in minhash.signatures(df, num_hashes=32).collect()}
-        s2 = {tuple(r) for r in minhash.signatures(df, num_hashes=32).collect()}
-        assert s1 == s2
-
-    def test_seed_changes_signature(self, spark, word_sets):
-        df = _sets_df(spark, word_sets)
-        s1 = {tuple(r) for r in minhash.signatures(df, num_hashes=32, seed=1).collect()}
-        s2 = {tuple(r) for r in minhash.signatures(df, num_hashes=32, seed=2).collect()}
-        assert s1 != s2
-
-    def test_identical_sets_identical_signatures(self, sigs):
-        a = {r["hash_id"]: r["min_hash"] for r in sigs.where("item = 'high_a'").collect()}
-        b = {r["hash_id"]: r["min_hash"] for r in sigs.where("item = 'identical'").collect()}
-        assert a == b
-
-    def test_signature_values_in_range(self, sigs):
-        lo, hi = sigs.agg(F.min("min_hash"), F.max("min_hash")).first()
-        assert 0 <= lo <= hi < (1 << 31) - 1
-
-    def test_signatures_vary_across_hash_ids(self, sigs):
-        """Regression for the monotone-hash bug: an item's min-hash must
-        not collapse to a single token's image for every hash function."""
-        n = (
-            sigs.where("item = 'high_a'")
-            .select("min_hash").distinct().count()
-        )
-        assert n > 200  # 256 hash ids, near-all distinct values
+def counts(spark, word_sets):
+    """The sets' ``(attribute, token, x, n)`` rows, as the partitioner
+    collects them."""
+    return attribute_token_counts(_sets_df(spark, word_sets))
 
 
 @pytest.fixture(scope="module")
-def matrix(sigs):
-    """``(items, signature matrix)`` collected from ``sigs``."""
-    return minhash.signature_matrix(sigs, 256)
+def matrix(counts):
+    """``(items, signature matrix)`` of the sets."""
+    return minhash.signatures(counts, num_hashes=256)
 
 
 def _rows(matrix, *names):
@@ -90,16 +60,68 @@ def _named_pairs(matrix, pairs):
     return {(items[i], items[j]) for i, j in pairs.tolist()}
 
 
-class TestSignatureMatrix:
-    def test_rows_in_name_order(self, matrix, word_sets):
+class TestSignatures:
+    def test_one_row_per_item_and_hash(self, matrix, word_sets):
         items, sig = matrix
-        assert items == sorted(word_sets)
         assert sig.shape == (len(word_sets), 256) and sig.dtype == np.int64
 
-    def test_matches_signature_rows(self, matrix, sigs):
+    def test_deterministic(self, counts):
+        _, s1 = minhash.signatures(counts, num_hashes=32)
+        _, s2 = minhash.signatures(counts, num_hashes=32)
+        assert np.array_equal(s1, s2)
+
+    def test_seed_changes_signature(self, counts):
+        _, s1 = minhash.signatures(counts, num_hashes=32, seed=1)
+        _, s2 = minhash.signatures(counts, num_hashes=32, seed=2)
+        assert not np.array_equal(s1, s2)
+
+    def test_identical_sets_identical_signatures(self, matrix):
         items, sig = matrix
-        for r in sigs.collect():
-            assert sig[items.index(r["item"]), r["hash_id"]] == r["min_hash"]
+        assert np.array_equal(sig[items.index("high_a")], sig[items.index("identical")])
+
+    def test_signature_values_in_range(self, matrix):
+        sig = matrix[1]
+        assert 0 <= sig.min() <= sig.max() < _P
+
+    def test_signatures_vary_across_hash_ids(self, matrix):
+        """Regression for the monotone-hash bug: an item's min-hash must
+        not collapse to a single token's image for every hash function."""
+        items, sig = matrix
+        assert len(np.unique(sig[items.index("high_a")])) > 200  # 256 hash ids
+
+    def test_row_order_and_repeats_do_not_matter(self, counts, matrix):
+        shuffled = pa.concat_tables([counts, counts]).take(
+            np.random.default_rng(3).permutation(2 * counts.num_rows)
+        )
+        items, sig = minhash.signatures(shuffled, num_hashes=256)
+        assert items == matrix[0] and np.array_equal(sig, matrix[1])
+
+    def test_no_rows_no_items(self, counts):
+        items, sig = minhash.signatures(counts.slice(0, 0), num_hashes=8)
+        assert items == [] and sig.shape == (0, 8)
+
+
+class TestSignatureMatrix:
+    def test_rows_in_name_order(self, matrix, word_sets):
+        assert matrix[0] == sorted(word_sets)
+
+    def test_matches_signature_rows(self, spark, word_sets):
+        """Against a pure-Python reference: each entry is ``min((a·x + b) % P)``
+        over the item's tokens, with ``x`` Spark's signed ``xxhash64`` of
+        the token taken mod P. Both signs of the hash occur among the tokens."""
+        rows = _sets_df(spark, word_sets).select(
+            "attribute", F.xxhash64("token").alias("h")
+        ).toArrow().to_pylist()
+        assert min(r["h"] for r in rows) < 0 < max(r["h"] for r in rows)
+        a, b = minhash._coefficients(16, 42)
+        want = {}
+        for r in rows:
+            x = r["h"] % _P
+            old = want.get(r["attribute"], [_P] * 16)
+            want[r["attribute"]] = [min(m, (ai * x + bi) % _P) for m, ai, bi in zip(old, a, b)]
+        counts = attribute_token_counts(_sets_df(spark, word_sets))
+        items, sig = minhash.signatures(counts, num_hashes=16)
+        assert {i: row for i, row in zip(items, sig.tolist())} == want
 
 
 class TestEstimation:

@@ -10,7 +10,7 @@ from pyspark.sql import functions as F
 from repro.looseschema import minhash
 from repro.looseschema.partitioning import (
     BLOB_CLUSTER,
-    attribute_tokens,
+    attribute_token_counts,
     best_partners,
     closure,
     manual_partition,
@@ -35,15 +35,20 @@ def attr_tokens(spark):
     return spark.createDataFrame(rows, "attribute string, token string")
 
 
+@pytest.fixture(scope="module")
+def attr_counts(attr_tokens):
+    return attribute_token_counts(attr_tokens)
+
+
 class TestLearnedPartition:
     @pytest.fixture(scope="class")
-    def partition(self, attr_tokens):
-        return partition_attributes(attr_tokens, threshold=0.5).localCheckpoint(
+    def partition(self, spark, attr_counts):
+        return partition_attributes(spark, attr_counts, threshold=0.5).localCheckpoint(
             eager=True
         )
 
     def test_every_attribute_assigned_once(self, partition, attr_tokens):
-        attrs = attribute_tokens(attr_tokens).select("attribute").distinct().count()
+        attrs = attr_tokens.select("attribute").distinct().count()
         assert partition.count() == attrs
         assert partition.select("attribute").distinct().count() == attrs
 
@@ -68,8 +73,8 @@ class TestLearnedPartition:
         )
         assert ids == list(range(1, len(ids) + 1))
 
-    def test_threshold_one_degenerates_to_blob(self, attr_tokens):
-        p = partition_attributes(attr_tokens, threshold=1.0)
+    def test_threshold_one_degenerates_to_blob(self, spark, attr_counts):
+        p = partition_attributes(spark, attr_counts, threshold=1.0)
         assert {r["cluster"] for r in p.collect()} == {BLOB_CLUSTER}
 
     def test_threshold_one_keeps_identical_token_sets(self, spark, attr_tokens):
@@ -78,19 +83,21 @@ class TestLearnedPartition:
         twin = attr_tokens.where(F.col("attribute") == "1.name").select(
             F.lit("2.name").alias("attribute"), "token"
         )
-        p = partition_attributes(attr_tokens.unionByName(twin), threshold=1.0)
+        p = partition_attributes(
+            spark, attribute_token_counts(attr_tokens.unionByName(twin)), threshold=1.0
+        )
         c = {r["attribute"]: r["cluster"] for r in p.toArrow().to_pylist()}
         assert c.pop("1.name") == c.pop("2.name") == 1
         assert set(c.values()) == {BLOB_CLUSTER}
 
-    def test_tiny_threshold_merges_more(self, attr_tokens):
-        p = partition_attributes(attr_tokens, threshold=0.01)
+    def test_tiny_threshold_merges_more(self, spark, attr_counts):
+        p = partition_attributes(spark, attr_counts, threshold=0.01)
         non_blob = {r["attribute"] for r in p.collect() if r["cluster"] != BLOB_CLUSTER}
         assert {"1.name", "2.title", "1.price", "2.cost"} <= non_blob
 
-    def test_deterministic(self, attr_tokens):
-        p1 = sorted(map(tuple, partition_attributes(attr_tokens, threshold=0.5).collect()))
-        p2 = sorted(map(tuple, partition_attributes(attr_tokens, threshold=0.5).collect()))
+    def test_deterministic(self, spark, attr_counts):
+        p1 = sorted(map(tuple, partition_attributes(spark, attr_counts, threshold=0.5).collect()))
+        p2 = sorted(map(tuple, partition_attributes(spark, attr_counts, threshold=0.5).collect()))
         assert p1 == p2
 
 
@@ -145,17 +152,15 @@ def test_matches_reference_on_random_sets(spark, seed):
     g = random.Random(seed)
     vocab = [f"t{i}" for i in range(60)]
     sets = {f"{g.randint(1, 2)}.a{k:02d}": g.sample(vocab, g.randint(3, 30)) for k in range(20)}
-    tokens = spark.createDataFrame(
+    counts = attribute_token_counts(spark.createDataFrame(
         [(a, t) for a, ts in sets.items() for t in ts], "attribute string, token string"
-    ).localCheckpoint(eager=True)
-    attrs, sig = minhash.signature_matrix(
-        minhash.signatures(tokens, item_col="attribute", num_hashes=64), 64
-    )
+    ))
+    attrs, sig = minhash.signatures(counts, num_hashes=64)
     for threshold, rows_per_band in [(0.2, 2), (0.4, 2), (0.3, 5)]:
         got = {
             r["attribute"]: r["cluster"]
             for r in partition_attributes(
-                tokens, threshold=threshold, num_hashes=64, rows_per_band=rows_per_band
+                spark, counts, threshold=threshold, num_hashes=64, rows_per_band=rows_per_band
             ).collect()
         }
         assert got == _reference_partition(attrs, sig, threshold, rows_per_band)
@@ -196,27 +201,27 @@ D1_PARTITIONS = {
 
 
 @pytest.fixture(scope="module")
-def d1_tokens(spark):
+def d1_counts(spark):
     from repro.core.profiles import load_clean_clean
     from repro.core.tokens import tokenize
     from repro.data import er_synth
 
     ds = er_synth.generate(n_entities=1500, seed=7)
     a, b, _ = er_synth.to_spark(spark, ds)
-    return tokenize(load_clean_clean(a, b), min_len=2).localCheckpoint(eager=True)
+    return attribute_token_counts(tokenize(load_clean_clean(a, b), min_len=2))
 
 
 @pytest.mark.parametrize("threshold", sorted(D1_PARTITIONS))
-def test_d1_partition_pinned(d1_tokens, threshold):
+def test_d1_partition_pinned(spark, d1_counts, threshold):
     got = {r["attribute"]: r["cluster"]
-           for r in partition_attributes(d1_tokens, threshold=threshold).collect()}
+           for r in partition_attributes(spark, d1_counts, threshold=threshold).collect()}
     assert got == D1_PARTITIONS[threshold]
 
 
 class TestManualPartition:
     def test_assignment_and_blob_default(self, spark, toy_tokens):
         p = manual_partition(
-            spark, toy_tokens.select("attribute"), {"1.name": 1, "2.title": 1}
+            spark, attribute_token_counts(toy_tokens), {"1.name": 1, "2.title": 1}
         )
         c = {r["attribute"]: r["cluster"] for r in p.collect()}
         assert c["1.name"] == c["2.title"] == 1
@@ -224,12 +229,12 @@ class TestManualPartition:
         assert c["2.year"] == BLOB_CLUSTER
 
     def test_every_attribute_covered(self, spark, toy_tokens):
-        p = manual_partition(spark, toy_tokens.select("attribute"), {"1.name": 5})
+        p = manual_partition(spark, attribute_token_counts(toy_tokens), {"1.name": 5})
         n_attrs = toy_tokens.select("attribute").distinct().count()
         assert p.count() == n_attrs
 
     def test_unknown_attribute_in_map_is_ignored(self, spark, toy_tokens):
         p = manual_partition(
-            spark, toy_tokens.select("attribute"), {"no.such": 9, "1.name": 1}
+            spark, attribute_token_counts(toy_tokens), {"no.such": 9, "1.name": 1}
         )
         assert p.where(F.col("attribute") == "no.such").count() == 0

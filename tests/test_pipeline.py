@@ -188,7 +188,7 @@ def test_blast_c_reaches_meta_blocking(spark, er):
 
 
 @pytest.mark.parametrize("cfg, budget", [
-    (BlockerConfig(), 30),
+    (BlockerConfig(), 26),
     (BlockerConfig(loose_schema=False), 19),
 ], ids=["loose-schema", "schema-agnostic"])
 def test_blocker_job_budget(spark, er, cfg, budget):

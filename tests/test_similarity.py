@@ -120,13 +120,17 @@ class TestLevenshtein:
         [r] = _features(spark, sim_tokens, sim_profiles, (3, 13)).collect()
         assert r["lev_norm"] == 0.0
 
-    def test_name_values_picks_first_available(self, spark, sim_profiles):
-        nv = {
-            r["pid"]: r["name"]
-            for r in name_values(sim_profiles, ["2.title", "2.blurb"]).collect()
+    def test_name_values_one_per_profile(self, spark, sim_profiles):
+        nv = name_values(sim_profiles, ["1.name", "2.title"])
+        assert dict(zip(nv["pid"], nv["name"])) == {
+            1: "alpha beta gamma", 2: "delta epsilon", 3: "zeta",
+            11: "alpha beta gamma", 12: "delta epsilonx",
         }
-        assert nv[12] == "delta epsilonx"
-        assert nv[13] == "totally different"  # falls back to blurb
+
+    def test_two_name_attributes_of_one_source_raise(self, spark, sim_profiles):
+        # p11 and p12 have both a title and a blurb
+        with pytest.raises(ValueError, match="profile 1[12] has a value for more than one"):
+            name_values(sim_profiles, ["2.title", "2.blurb"])
 
 
 class TestAddSimilarities:

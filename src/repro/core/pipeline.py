@@ -22,7 +22,7 @@ from repro.core.profiles import count_profiles, load_clean_clean
 from repro.core.tokens import tokenize
 from repro.looseschema import entropy as entropy_mod
 from repro.looseschema import partitioning
-from repro.matching.matcher import threshold_matcher
+from repro.matching.matcher import check_feature, threshold_matcher
 from repro.matching.similarity import add_similarities
 
 
@@ -151,6 +151,7 @@ def run_pipeline(
     match_threshold: float = 0.4,
 ) -> dict:
     """Blocker → Entity Matcher (threshold mode) → Entity Clusterer."""
+    check_feature(match_feature)
     out = run_blocker(spark, source_a, source_b, cfg)
     # Not materialised: the pairs are Arrow-backed, and a reader that does
     # not select ``lev_norm`` (the cosine matcher) does not compute it.

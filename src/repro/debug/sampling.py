@@ -1,25 +1,20 @@
 """Debug-time data sampling (SparkER §3, after Magellan [9]).
 
-Supervised tuning iterates quickly, so it runs on a sample that must
-still contain matching pairs. The paper adopts Magellan's scheme: pick K
-random profiles; for each picked profile take k/2 profiles that *could*
-match it (high token overlap) and k/2 random profiles.
-
-The random draws run on the driver: one ``np.random.default_rng(seed)``
-over the profile ids sorted by pid, so the sample depends only on the
-data and ``seed``, not on how Spark partitions or orders the rows. The
-driver holds one int64 per profile. Only the token overlap of the seeds
-with every other-source profile runs in Spark, as one join that
-broadcasts the seeds' token rows (K profiles). The sample goes back to
-Spark as a pyarrow table.
+Supervised tuning runs on a sample that must still contain matching
+pairs. It is drawn on the driver from one collect of the profile ids and
+one of the ``(pid, source, token)`` rows, so it depends only on the data
+and the seed, not on Spark's partitioning. The driver holds one int64 per
+profile, the token rows, and the postings of one seed's tokens at a time.
 """
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
+
+from repro.core.csr import offsets, ranges
 
 
 def debug_sample(
@@ -41,48 +36,46 @@ def debug_sample(
 
     A profile picked for several reasons keeps the alphabetically first.
     """
-    spark = profiles.sparkSession
-    pids = np.sort(profiles.select("pid").distinct().toArrow()["pid"].to_numpy().astype(np.int64))
+    pids = np.unique(profiles.select("pid").toArrow()["pid"].to_numpy().astype(np.int64))
     rng = np.random.default_rng(seed)
     seeds = rng.choice(pids, size=min(big_k, len(pids)), replace=False)
     rest = np.setdiff1d(pids, seeds)
     randoms = rng.choice(rest, size=min(big_k * (small_k // 2), len(rest)), replace=False)
 
-    # A token under several attributes repeats a row; countDistinct below
-    # counts it once.
-    t_seed = tokens.where(F.col("pid").isin(seeds.tolist())).select(
-        F.col("pid").alias("seed_pid"), F.col("source").alias("seed_source"), "token"
-    )
-    w = Window.partitionBy("seed_pid").orderBy(F.desc("shared"), F.asc("pid"))
-    likely = (
-        tokens.join(F.broadcast(t_seed), "token")
-        .where(F.col("source") != F.col("seed_source"))
-        .groupBy("seed_pid", "pid")
-        .agg(F.countDistinct("token").alias("shared"))
-        .withColumn("rank", F.row_number().over(w))
-        .where(F.col("rank") <= small_k // 2)
-        .select("pid")
-        .toArrow()["pid"]
-        .to_pylist()
-    )
+    tok = tokens.select("pid", "source", "token").toPandas()
+    pid, src = tok["pid"].to_numpy(np.int64), tok["source"].to_numpy(np.int64)
+    tok_pids, row = np.unique(pid, return_inverse=True)
+    source = np.empty(len(tok_pids), np.int64)
+    source[row] = src
+    term, vocab = pd.factorize(tok["token"])
+    # postings: each token's profile rows, distinct and ascending, so a
+    # token under several attributes is shared once
+    keys = np.unique(term * len(tok_pids) + row)
+    posting, ptr = keys % len(tok_pids), offsets(keys // len(tok_pids), len(vocab))
+    likely = []
+    for s in seeds:
+        mine = pid == s
+        own = np.unique(term[mine])
+        other = posting[ranges(ptr[own], ptr[own + 1])]
+        other = other[~np.isin(source[other], src[mine])]
+        partners, shared = np.unique(other, return_counts=True)
+        likely += tok_pids[partners[np.argsort(-shared, kind="stable")[: small_k // 2]]].tolist()
 
     # Seeds and randoms are disjoint; a later reason wins, which keeps the
     # alphabetically first one (likely < random < seed).
-    reason = {
-        **dict.fromkeys(seeds.tolist(), "seed"),
-        **dict.fromkeys(randoms.tolist(), "random"),
-        **dict.fromkeys(likely, "likely"),
-    }
-    pid = sorted(reason)
-    return spark.createDataFrame(
-        pa.table({"pid": pid, "reason": [reason[p] for p in pid]}), "pid long, reason string"
+    reason = dict.fromkeys(seeds.tolist(), "seed") | dict.fromkeys(randoms.tolist(), "random")
+    reason |= dict.fromkeys(likely, "likely")
+    sampled = sorted(reason)
+    return profiles.sparkSession.createDataFrame(
+        pa.table({"pid": sampled, "reason": [reason[p] for p in sampled]}), "pid long, reason string"
     )
 
 
 def restrict_to_sample(df: DataFrame, sample: DataFrame, *, cols: tuple[str, ...] = ("pid",)) -> DataFrame:
     """Keep only rows whose profile columns all fall in the sample
-    (broadcast semi-joins: the sample is small)."""
+    (broadcast semi-joins: the sample is small), with ``df``'s columns in
+    their order."""
     out = df
     for c in cols:
         out = out.join(F.broadcast(sample.select(F.col("pid").alias(c))), c, "semi")
-    return out
+    return out.select(*df.columns)

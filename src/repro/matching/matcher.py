@@ -25,10 +25,15 @@ from pyspark.sql import functions as F
 FEATURES = ("jaccard", "cosine", "lev_norm")
 
 
+def check_feature(feature: str) -> None:
+    """Raise ``ValueError`` unless ``feature`` is one of ``FEATURES``."""
+    if feature not in FEATURES:
+        raise ValueError(f"feature {feature!r} not in {FEATURES}")
+
+
 def threshold_matcher(sim_pairs: DataFrame, *, feature: str = "jaccard", threshold: float = 0.5) -> DataFrame:
     """Unsupervised matcher: keep pairs with ``feature >= threshold``."""
-    if feature not in sim_pairs.columns:
-        raise ValueError(f"feature {feature!r} not in {sim_pairs.columns}")
+    check_feature(feature)
     return sim_pairs.where(F.col(feature) >= threshold).select(
         "p1", "p2", F.col(feature).alias("score")
     )

@@ -1,16 +1,17 @@
 """Tables built on the driver reach Spark as Arrow batches.
 
 The attribute partition, the cluster entropies, the debug sample, the
-similarity features, the entity clusters and the lost pairs are handed
-to Spark as pyarrow tables, so no Python worker has to unpickle their rows for a job
-that reads them, whether they have rows or not. A zero-row input still
+similarity features, the entity clusters, the lost pairs and their
+explanation are handed to Spark as pyarrow tables, so no Python worker
+has to unpickle their rows for a job that reads them, whether they have
+rows or not. A zero-row input still
 gives a zero-row table with the documented schema.
 """
 import pytest
 
 from repro.core.clusterer import cluster_entities
 from repro.core.pipeline import NAME_ATTRS
-from repro.debug.evaluation import lost_pairs
+from repro.debug.evaluation import explain_lost_pair, lost_pairs
 from repro.debug.sampling import debug_sample
 from repro.looseschema.entropy import cluster_entropies
 from repro.looseschema.partitioning import (
@@ -28,6 +29,9 @@ SCHEMAS = {
     "cluster_entities": "struct<pid:bigint,entity:bigint>",
     "add_similarities": "struct<p1:bigint,p2:bigint,jaccard:double,cosine:double,lev_norm:double>",
     "lost_pairs": "struct<p1:bigint,p2:bigint>",
+    "explain_lost_pair": (
+        "struct<p1:bigint,p2:bigint,token:string,attrs_1:array<string>,attrs_2:array<string>>"
+    ),
 }
 
 
@@ -44,6 +48,9 @@ def _build(name, spark, profiles, tokens, matches):
         return debug_sample(profiles, tokens, big_k=10, small_k=4, seed=9)
     if name == "lost_pairs":
         return lost_pairs(matches.limit(0), matches)
+    if name == "explain_lost_pair":
+        # candidates share a blocking token, so each has a row
+        return explain_lost_pair(matches, tokens)
     return cluster_entities(matches)
 
 

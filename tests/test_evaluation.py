@@ -99,6 +99,21 @@ def test_pair_metrics_job_budget(spark, blocker_out, er):
     assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 2
 
 
+def test_explain_lost_pair_job_budget(spark, tokens, er):
+    """Explaining the fixture's ground-truth pairs, as if all were lost,
+    takes one collect of the pairs and one of their profiles' token rows;
+    the result is a local relation that collects without a job."""
+    sc = spark.sparkContext
+    group = "explain-lost-pair-budget"
+    sc.setJobGroup(group, "explain_lost_pair")
+    try:
+        rows = explain_lost_pair(er[2], tokens).collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert rows
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 2
+
+
 class TestLostPairs:
     def test_lost_listed(self, spark):
         pairs = spark.createDataFrame([(1, 11)], ["p1", "p2"])

@@ -53,6 +53,13 @@ class TestThresholdMatcher:
         with pytest.raises(ValueError):
             threshold_matcher(sim_pairs, feature="nope", threshold=0.5)
 
+    @pytest.mark.parametrize("column", ["p1", "p2"])
+    def test_id_column_is_not_a_feature(self, sim_pairs, column):
+        """An id column is in the table but is no similarity: thresholding
+        it would keep every pair with a large enough id."""
+        with pytest.raises(ValueError, match="not in"):
+            threshold_matcher(sim_pairs, feature=column, threshold=0.5)
+
 
 def _separable_sample(n=400, seed=0) -> pd.DataFrame:
     """Synthetic training set: matches cluster near (0.8,.8,.8)."""

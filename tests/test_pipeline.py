@@ -133,6 +133,21 @@ def test_non_integer_id_type_raises_before_any_job(spark, ddl, ids):
     assert sc.statusTracker().getJobIdsForGroup(group) == []
 
 
+@pytest.mark.parametrize("feature", ["p2", "score", "nope"])
+def test_unknown_match_feature_rejected_before_any_job(spark, er, feature):
+    """``run_pipeline`` checks its matcher feature as the matcher does,
+    before the Blocker runs: an id column would match every candidate."""
+    sc = spark.sparkContext
+    group = f"match-feature-{feature}"
+    sc.setJobGroup(group, "run_pipeline")
+    try:
+        with pytest.raises(ValueError, match=f"feature '{feature}' not in"):
+            run_pipeline(spark, er[0], er[1], BlockerConfig(), match_feature=feature)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+
 def test_manual_clusters_without_loose_schema_raises():
     """Schema-agnostic blocking has no attribute clusters, so a manual
     partition would be ignored: the config is rejected before any Spark

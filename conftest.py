@@ -46,7 +46,7 @@ def _driver_mem() -> str:
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+    "--master local[*] "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
     f"--conf spark.driver.host=127.0.0.1 "
     f"--conf spark.ui.enabled=false "
@@ -63,9 +63,10 @@ from jobs._session import configure  # noqa: E402
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). The configs honoured post-launch (shuffle partitions,
-    Arrow, broadcast threshold) are the ones ``jobs/_session.py`` gives
+    The master (``local[*]``) and driver memory come from
+    ``PYSPARK_SUBMIT_ARGS`` (set above, pre-JVM-launch). The configs
+    honoured post-launch (shuffle partitions, Arrow, broadcast
+    threshold) are the ones ``jobs/_session.py`` gives
     the spark-submit entrypoints. Broadcast joins are disabled so papers
     about shuffle/join algorithms actually exercise the shuffle path at
     SF~=0.1; a reproduction that wants a broadcast join sets the

@@ -1,23 +1,18 @@
 """Spark session settings shared by the spark-submit entrypoints and the
 test session (the root ``conftest.py``).
 
-Only settings honoured after JVM launch live here: shuffle partitions
-(64, or ``SPARK_SHUFFLE_PARTITIONS``), Arrow, and auto-broadcast joins
-off, so joins exercise the shuffle path. Master and driver memory come
-from the spark-submit command or ``PYSPARK_SUBMIT_ARGS``.
+Only settings honoured after JVM launch live here: 64 shuffle
+partitions, Arrow, and auto-broadcast joins off, so joins exercise the
+shuffle path. Master and driver memory come from the spark-submit
+command or ``PYSPARK_SUBMIT_ARGS``.
 """
-import os
-
 from pyspark.sql import SparkSession
 
 
 def configure(builder: SparkSession.Builder) -> SparkSession.Builder:
     """``builder`` with the shared post-launch settings."""
     return (
-        builder.config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        builder.config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
     )

@@ -31,6 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.csr import offsets, ranges
@@ -55,7 +56,7 @@ class Index(NamedTuple):
     block_ent: np.ndarray  # block -> entropy of its cluster (1.0 without entropy)
 
 
-def _build_index(blocks: DataFrame, entropies: DataFrame | None) -> Index:
+def _build_index(blocks: DataFrame, entropies: pa.Table | None) -> Index:
     """Collect the block assignments and build the broadcast index."""
     pdf = blocks.select("key", "cluster", "pid", "source").toPandas()
     pdf = pdf.drop_duplicates().sort_values(["pid", "key"])
@@ -64,8 +65,7 @@ def _build_index(blocks: DataFrame, entropies: DataFrame | None) -> Index:
     src = pdf["source"].to_numpy(np.int64)
     ent = np.ones(len(pdf))
     if entropies is not None:
-        epdf = entropies.select("cluster", "entropy_norm").toPandas()
-        ent = pdf["cluster"].map(dict(zip(epdf["cluster"], epdf["entropy_norm"])))
+        ent = pdf["cluster"].map(entropies.to_pandas().set_index("cluster")["entropy_norm"])
         ent = ent.fillna(1.0).to_numpy(np.float64)
     n, n_blocks = len(pids), len(first)
     node_ptr, block_ptr = offsets(node, n), offsets(block, n_blocks)
@@ -108,7 +108,7 @@ def meta_blocking_broadcast(
     *,
     scheme: str = "cbs",
     use_entropy: bool = False,
-    entropies: DataFrame | None = None,
+    entropies: pa.Table | None = None,
     pruning: str = "wnp",
     blast_c: float = 0.35,
     cnp_k: int = 10,

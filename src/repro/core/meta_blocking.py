@@ -19,8 +19,9 @@ numpy arrays, so the two implementations can be tested for equality.
 The paper implements this stage over RDDs with a broadcast-join-inspired
 scheme; here the primary implementation is one Catalyst plan (DESIGN.md):
 a window count over ``pid`` puts ``b`` on the assignment rows, the self-
-join on the block key is aggregated per ``(p1, p2)``, and each endpoint's
-threshold is a window over ``p1`` or ``p2`` (WEP: over all edges). That
+join on the block key (entropies broadcast-joined to its rows) is summed
+per ``(p1, p2)``, and each endpoint's threshold is a window over ``p1`` or
+``p2`` (WEP: over all edges). That
 window is the node's whole neighbourhood because a pid belongs to one
 source only, which ``run_blocker`` enforces; ``blocks`` has one row per
 (key, pid), as the blocking stages produce.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from numbers import Integral
 
+import pyarrow as pa
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -56,13 +58,14 @@ def build_graph(
     *,
     scheme: str = "cbs",
     use_entropy: bool = False,
-    entropies: DataFrame | None = None,
+    entropies: pa.Table | None = None,
 ) -> DataFrame:
     """The weighted blocking graph.
 
-    Returns ``(p1, p2, cbs, b1, b2, ent, weight)``, one row per candidate
-    pair. ``entropies`` is the ``(cluster, entropy_norm)`` table from the
-    Entropy Extractor and is required when ``use_entropy`` is set.
+    Returns ``(p1, p2, b1, b2, cbs, ent, weight)``, one row per candidate
+    pair. ``entropies`` is the Entropy Extractor's pyarrow table with
+    ``cluster`` and ``entropy_norm`` columns, required when ``use_entropy``
+    is set.
     """
     if use_entropy and entropies is None:
         raise ValueError("use_entropy=True requires the entropies table")
@@ -70,26 +73,30 @@ def build_graph(
     # only chi2 needs the number of blocks, and it is a driver-side literal
     n_blocks = blocks.select("key").distinct().count() if scheme == "chi2" else 0
 
+    # Both sides project the same columns, so Spark plans the pid exchange
+    # and window once; a key's cluster is a function of the key.
+    assignments = blocks.select(
+        "key", "cluster", "pid", "source",
+        F.count(F.lit(1)).over(Window.partitionBy("pid")).alias("b"),
+    )
+    s1, s2 = (
+        assignments.where(F.col("source") == s)
+        .select("key", "cluster", F.col("pid").alias(f"p{s}"), F.col("b").alias(f"b{s}"))
+        for s in (1, 2)
+    )
+    pairs = s1.join(s2, ["key", "cluster"])
     if use_entropy:
         # k rows, one per attribute cluster: broadcast, not shuffled
-        ent = F.broadcast(entropies.select("cluster", "entropy_norm"))
-        blocks = blocks.join(ent, "cluster", "left")
+        ent = blocks.sparkSession.createDataFrame(
+            pa.table(entropies.select(["cluster", "entropy_norm"])),
+            "cluster int, entropy_norm double",
+        )
+        pairs = pairs.join(F.broadcast(ent), "cluster", "left")
         e = F.coalesce("entropy_norm", F.lit(1.0))
     else:
         e = F.lit(1.0)
-    assignments = blocks.select(
-        "key", "pid", "source", e.alias("e"),
-        F.count(F.lit(1)).over(Window.partitionBy("pid")).alias("b"),
-    )
-    s1 = assignments.where(F.col("source") == 1).select(
-        "key", F.col("pid").alias("p1"), F.col("b").alias("b1"), "e"
-    )
-    s2 = assignments.where(F.col("source") == 2).select(
-        "key", F.col("pid").alias("p2"), F.col("b").alias("b2")
-    )
-    edges = s1.join(s2, "key").groupBy("p1", "p2").agg(
-        F.count(F.lit(1)).alias("cbs"), F.first("b1").alias("b1"),
-        F.first("b2").alias("b2"), F.avg("e").alias("ent"),
+    edges = pairs.groupBy("p1", "p2", "b1", "b2").agg(
+        F.count(F.lit(1)).alias("cbs"), F.avg(e).alias("ent"),
     )
     w = weight(scheme, cbs=F.col("cbs"), b1=F.col("b1"), b2=F.col("b2"), n_blocks=n_blocks,
                ent=F.col("ent") if use_entropy else None,
@@ -138,7 +145,7 @@ def meta_blocking(
     *,
     scheme: str = "cbs",
     use_entropy: bool = False,
-    entropies: DataFrame | None = None,
+    entropies: pa.Table | None = None,
     pruning: str = "wnp",
     blast_c: float = 0.35,
     cnp_k: int = 10,

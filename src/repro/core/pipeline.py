@@ -5,14 +5,15 @@ loose-schema generation (attribute partitioning + entropy extraction) →
 token blocking → block purging → block filtering → meta-blocking.
 ``run_pipeline`` adds matching and clustering on top.
 
-Both return plain dicts of named DataFrames/metrics so the debug layer
-and the table harnesses can inspect every intermediate product, the way
-the demo GUI displays them.
+Both return plain dicts of named DataFrames, driver-built pyarrow tables
+and metrics so the debug layer and the table harnesses can inspect every
+intermediate product, the way the demo GUI displays them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -79,8 +80,9 @@ def run_blocker(
     repeats within a source, or occurs in both sources.
 
     Keys: profiles (lazy, re-derived from the sources by each reader),
-    tokens, attr_clusters, entropies, blocks_raw, blocks_purged, blocks,
-    candidates (post-meta-blocking when enabled, else the post-filtering
+    tokens, attr_clusters and entropies (pyarrow tables, or ``None``
+    when not computed), blocks_raw, blocks_purged, blocks, candidates
+    (post-meta-blocking when enabled, else the post-filtering
     comparisons), n_profiles (the number of profiles, an int).
     """
     profiles = load_clean_clean(source_a, source_b)
@@ -92,16 +94,13 @@ def run_blocker(
         # one row per (attribute, token), read by the partition and the entropies
         counts = partitioning.attribute_token_counts(tokens)
         if cfg.manual_clusters is not None:
-            attr_clusters = partitioning.manual_partition(spark, counts, cfg.manual_clusters)
+            attr_clusters = partitioning.manual_partition(counts, cfg.manual_clusters)
         else:
-            attr_clusters = partitioning.partition_attributes(
-                spark, counts, threshold=cfg.lsh_threshold
-            )
+            attr_clusters = partitioning.partition_attributes(counts, threshold=cfg.lsh_threshold)
         # one row per attribute, built on the driver: broadcast, not shuffled
-        tagged = tokens.join(F.broadcast(attr_clusters), "attribute")
-        blocks_raw = blocking.loose_schema_blocking(tagged)
+        part = spark.createDataFrame(pa.table(attr_clusters), "attribute string, cluster int")
+        blocks_raw = blocking.loose_schema_blocking(tokens.join(F.broadcast(part), "attribute"))
         if cfg.use_entropy:
-            # k rows, one per cluster, built on the driver: nothing to checkpoint
             entropies = entropy_mod.cluster_entropies(counts, attr_clusters)
     else:
         blocks_raw = blocking.token_blocking(tokens)

@@ -11,27 +11,31 @@ Entropies are normalized to (0, 1] by the maximum cluster entropy so the
 re-weighting rescales rather than changes units; a degenerate collection
 where every cluster has zero entropy normalizes to 1.0 everywhere (no-op).
 The entropies are numpy sums over the collected per-``(attribute, token)``
-counts (``partitioning.attribute_token_counts``); the k cluster rows reach
-Spark as a pyarrow table.
+counts (``partitioning.attribute_token_counts``), joined to the partition
+in pyarrow; the k cluster rows are a pyarrow table, which meta-blocking's
+``build_graph`` hands to Spark for its join.
 """
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-from pyspark.sql import DataFrame
+
+ENTROPIES = pa.schema(
+    [("cluster", pa.int32()), ("entropy", pa.float64()), ("entropy_norm", pa.float64())]
+)
 
 
-def cluster_entropies(counts: pa.Table, attr_clusters: DataFrame) -> DataFrame:
-    """Shannon entropy per cluster; returns ``(cluster, entropy, entropy_norm)``,
-    a table built on the driver.
+def cluster_entropies(counts: pa.Table, attr_clusters: pa.Table) -> pa.Table:
+    """Shannon entropy per cluster; returns ``(cluster: int32, entropy:
+    double, entropy_norm: double)`` in cluster order.
 
     ``counts`` holds ``attribute_token_counts``' ``(attribute, token, n)``
-    rows, and ``attr_clusters`` the partition, which is collected. A
+    rows, and ``attr_clusters`` the ``(attribute, cluster)`` partition. A
     cluster's distribution is over token types, each counted by the sum
     of ``n`` over the cluster's attributes.
     """
     occ = (
-        counts.join(attr_clusters.select("attribute", "cluster").toArrow(), "attribute")
+        counts.join(attr_clusters.select(["attribute", "cluster"]), "attribute")
         .group_by(["cluster", "token"])
         .aggregate([("n", "sum")])
     )
@@ -45,7 +49,4 @@ def cluster_entropies(counts: pa.Table, attr_clusters: DataFrame) -> DataFrame:
     entropy = np.where(np.bincount(k, minlength=len(cluster)) > 1, np.log2(t) - s / t, 0.0)
     m = entropy.max(initial=0.0)
     norm = entropy / m if m > 0 else np.ones_like(entropy)
-    return attr_clusters.sparkSession.createDataFrame(
-        pa.table({"cluster": cluster, "entropy": entropy, "entropy_norm": norm}),
-        "cluster int, entropy double, entropy_norm double",
-    )
+    return pa.table([cluster, entropy, norm], schema=ENTROPIES)

@@ -15,9 +15,10 @@ Pipeline, as described in the paper:
 The one Spark step is :func:`attribute_token_counts`, one aggregation of
 the tokens into ``(attribute, token, x, n)`` rows collected as a pyarrow
 table. The partition and the cluster entropies (``repro.looseschema.entropy``)
-read it on the driver in numpy, and each result reaches Spark as a
-pyarrow table. The driver holds a string and two int64 per distinct
-``(attribute, token)``: no more rows than ``add_similarities`` collects.
+read it on the driver in numpy and are pyarrow tables too; ``run_blocker``
+hands the partition to Spark for its join with the tokens. The driver
+holds a string and two int64 per distinct ``(attribute, token)``: no
+more rows than ``add_similarities`` collects.
 
 A ``manual`` override lets the demo's supervised mode (Figure 6c) replace
 the learned partition with a user-drawn one.
@@ -26,13 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.connected_components import connected_components
 from repro.looseschema import minhash
 
 BLOB_CLUSTER = 0
+PARTITION = pa.schema([("attribute", pa.string()), ("cluster", pa.int32())])
 
 
 def attribute_token_counts(tokens: DataFrame) -> pa.Table:
@@ -76,15 +78,14 @@ def closure(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def partition_attributes(
-    spark: SparkSession,
     counts: pa.Table,
     *,
     threshold: float = 0.3,
     num_hashes: int = 128,
     rows_per_band: int = 2,
-) -> DataFrame:
+) -> pa.Table:
     """Learn the attribute partition of the :func:`attribute_token_counts`
-    rows; returns ``(attribute, cluster)``.
+    rows; returns ``(attribute: string, cluster: int32)``.
 
     Every attribute of ``counts`` appears exactly once, in name order;
     cluster ids are 1..k for learned clusters, ordered by each cluster's
@@ -97,16 +98,10 @@ def partition_attributes(
     pairs = minhash.banded_pairs(minhash.band_keys(sig, rows_per_band=rows_per_band))
     sim = minhash.estimated_similarity(sig, pairs)
     cluster = closure(len(attrs), *best_partners(pairs, sim, threshold))
-    return spark.createDataFrame(
-        pa.table({"attribute": attrs, "cluster": cluster}), "attribute string, cluster int"
-    )
+    return pa.table([attrs, cluster], schema=PARTITION)
 
 
-def manual_partition(
-    spark: SparkSession,
-    counts: pa.Table,
-    clusters: dict[str, int],
-) -> DataFrame:
+def manual_partition(counts: pa.Table, clusters: dict[str, int]) -> pa.Table:
     """Supervised mode: the user assigns attributes to clusters by hand.
 
     ``clusters`` maps source-qualified attribute names to cluster ids
@@ -116,6 +111,4 @@ def manual_partition(
     """
     names = np.unique(counts["attribute"].to_numpy(zero_copy_only=False)).tolist()
     cluster = [int(clusters.get(a, BLOB_CLUSTER)) for a in names]
-    return spark.createDataFrame(
-        pa.table({"attribute": names, "cluster": cluster}), "attribute string, cluster int"
-    )
+    return pa.table([names, cluster], schema=PARTITION)

@@ -20,11 +20,11 @@ All three rows run the blocker *without* meta-blocking (that is Figure
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.pipeline import BlockerConfig, run_blocker
 from repro.data import er_synth
 from repro.debug.evaluation import pair_metrics
+from repro.looseschema.partitioning import BLOB_CLUSTER
 
 # The demo user's (ill-advised) edit: split name-ish attributes from
 # description-ish ones; manufacturer is left unassigned (blob).
@@ -58,10 +58,7 @@ def run(spark: SparkSession, *, n_entities: int = 1500) -> list[dict]:
     for label, cfg in CONFIGS:
         out = run_blocker(spark, a, b, cfg)
         m = pair_metrics(out["candidates"], gt)
-        n_clusters = (
-            out["attr_clusters"].where(F.col("cluster") != 0)
-            .select("cluster").distinct().count()
-        )
+        n_clusters = len(set(out["attr_clusters"]["cluster"].to_pylist()) - {BLOB_CLUSTER})
         rows.append({
             "config": label,
             "clusters": n_clusters,

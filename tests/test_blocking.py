@@ -66,11 +66,10 @@ class TestLooseSchemaBlocking:
     def partition(self, spark, toy_tokens):
         # Names with titles (cluster 1), authors together (cluster 2);
         # abstracts and year in the blob.
-        return manual_partition(
-            spark,
+        return spark.createDataFrame(manual_partition(
             attribute_token_counts(toy_tokens),
             {"1.name": 1, "2.title": 1, "1.authors": 2, "2.author": 2},
-        ).localCheckpoint(eager=True)
+        ))
 
     @pytest.fixture(scope="class")
     def loose_blocks(self, toy_tokens, partition):

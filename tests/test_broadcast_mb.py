@@ -177,9 +177,10 @@ def test_empty_blocks_give_no_rows(spark, toy_blocks, impl, pruning):
         assert run(toy_blocks.limit(0), scheme="chi2", pruning=pruning).count() == 0
 
 
-def test_broadcast_runs_at_most_five_jobs(spark, blocker_out):
-    """One collect each of the blocks, the entropies and pass A, and two
-    jobs to count pass B: the nodes are a range, not a distinct."""
+def test_broadcast_mb_job_budget(spark, blocker_out):
+    """One collect each of the blocks and pass A, and two jobs to count
+    pass B: the nodes are a range, not a distinct, and the entropies are
+    already a driver table."""
     sc = spark.sparkContext
     group = "broadcast-mb-jobs"
     sc.setJobGroup(group, "broadcast meta-blocking of the dataset")
@@ -190,4 +191,4 @@ def test_broadcast_runs_at_most_five_jobs(spark, blocker_out):
         ).count()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 5
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 4

@@ -1,12 +1,16 @@
 """Tables built on the driver reach Spark as Arrow batches.
 
-The attribute partition, the cluster entropies, the debug sample, the
-similarity features, the entity clusters, the lost pairs and their
-explanation are handed to Spark as pyarrow tables, so no Python worker
-has to unpickle their rows for a job that reads them, whether they have
-rows or not. A zero-row input still
-gives a zero-row table with the documented schema.
+The debug sample, the similarity features, the entity clusters, the lost
+pairs and their explanation are handed to Spark as pyarrow tables, so no
+Python worker has to unpickle their rows for a job that reads them,
+whether they have rows or not. A zero-row input still gives a zero-row
+table with the documented schema.
+
+The attribute partition and the cluster entropies stay pyarrow tables:
+the Loose Schema Generator builds them from one collect of counts and
+runs no Spark job of its own.
 """
+import pyarrow as pa
 import pytest
 
 from repro.core.clusterer import cluster_entities
@@ -21,10 +25,15 @@ from repro.looseschema.partitioning import (
 )
 from repro.matching.similarity import add_similarities
 
+PARTITION = pa.schema([("attribute", pa.string()), ("cluster", pa.int32())])
+LOOSE_SCHEMA = {
+    "partition_attributes": PARTITION,
+    "manual_partition": PARTITION,
+    "cluster_entropies": pa.schema(
+        [("cluster", pa.int32()), ("entropy", pa.float64()), ("entropy_norm", pa.float64())]
+    ),
+}
 SCHEMAS = {
-    "partition_attributes": "struct<attribute:string,cluster:int>",
-    "manual_partition": "struct<attribute:string,cluster:int>",
-    "cluster_entropies": "struct<cluster:int,entropy:double,entropy_norm:double>",
     "debug_sample": "struct<pid:bigint,reason:string>",
     "cluster_entities": "struct<pid:bigint,entity:bigint>",
     "add_similarities": "struct<p1:bigint,p2:bigint,jaccard:double,cosine:double,lev_norm:double>",
@@ -35,15 +44,41 @@ SCHEMAS = {
 }
 
 
+def _loose_schema(name, counts):
+    if name == "partition_attributes":
+        return partition_attributes(counts)
+    part = manual_partition(counts, {"1.name": 1, "2.title": 1})
+    return part if name == "manual_partition" else cluster_entropies(counts, part)
+
+
+@pytest.mark.parametrize("name", sorted(LOOSE_SCHEMA))
+@pytest.mark.parametrize("empty", [False, True], ids=["fixture", "empty"])
+def test_loose_schema_table_is_pyarrow(name, empty, tokens):
+    """The table has the documented schema, with rows or without."""
+    t = _loose_schema(name, attribute_token_counts(tokens.limit(0) if empty else tokens))
+    assert isinstance(t, pa.Table)
+    assert t.schema == LOOSE_SCHEMA[name]
+    assert (t.num_rows == 0) == empty
+
+
+@pytest.mark.parametrize("name", sorted(LOOSE_SCHEMA))
+def test_loose_schema_table_runs_no_job(name, spark, tokens):
+    """From the collected counts on, the partition and the entropies are
+    numpy and pyarrow work on the driver: no Spark job."""
+    counts = attribute_token_counts(tokens)
+    sc = spark.sparkContext
+    group = f"loose-schema-jobs-{name}"
+    sc.setJobGroup(group, name)
+    try:
+        _loose_schema(name, counts)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+
 def _build(name, spark, profiles, tokens, matches):
     if name == "add_similarities":
         return add_similarities(matches, tokens, profiles, name_attrs=NAME_ATTRS)
-    if name == "partition_attributes":
-        return partition_attributes(spark, attribute_token_counts(tokens))
-    if name in ("manual_partition", "cluster_entropies"):
-        counts = attribute_token_counts(tokens)
-        part = manual_partition(spark, counts, {"1.name": 1, "2.title": 1})
-        return part if name == "manual_partition" else cluster_entropies(counts, part)
     if name == "debug_sample":
         return debug_sample(profiles, tokens, big_k=10, small_k=4, seed=9)
     if name == "lost_pairs":

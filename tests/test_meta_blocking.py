@@ -1,4 +1,5 @@
 """Tests for meta-blocking: graph construction and pruning strategies."""
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 
@@ -39,15 +40,15 @@ class TestFigure2Entropy:
         from repro.looseschema.partitioning import attribute_token_counts, manual_partition
 
         part = manual_partition(
-            spark,
             attribute_token_counts(toy_tokens),
             {"1.name": 1, "2.title": 1, "1.authors": 2, "2.author": 2},
         )
-        blocks = loose_schema_blocking(toy_tokens.join(part, "attribute")).localCheckpoint(eager=True)
-        entropies = spark.createDataFrame(
-            [(0, 0.2, 0.25), (1, 0.4, 0.5), (2, 0.8, 1.0)],
-            ["cluster", "entropy", "entropy_norm"],
-        )
+        tagged = toy_tokens.join(spark.createDataFrame(part), "attribute")
+        blocks = loose_schema_blocking(tagged).localCheckpoint(eager=True)
+        entropies = pa.table({
+            "cluster": pa.array([0, 1, 2], pa.int32()),
+            "entropy": [0.2, 0.4, 0.8], "entropy_norm": [0.25, 0.5, 1.0],
+        })
         return blocks, entropies
 
     def test_entropy_changes_weights(self, loose_setup):
@@ -195,7 +196,10 @@ class TestOnDataset:
 @pytest.mark.parametrize("pruning", ["wep", "wnp", "blast", "cnp"])
 def test_catalyst_mb_job_budget(spark, blocker_out, pruning):
     """Catalyst meta-blocking is one plan over the blocks: the count of
-    the distinct keys (for chi2) and the jobs of counting the result."""
+    the distinct keys (for chi2) and the jobs of counting the result. Both
+    sides of the self-join share one pid exchange and window; WEP's one
+    global threshold window takes fewer jobs than two node windows."""
+    budget = 10 if pruning == "wep" else 12
     sc = spark.sparkContext
     group = f"catalyst-mb-jobs-{pruning}"
     sc.setJobGroup(group, "Catalyst meta-blocking of the dataset")
@@ -206,4 +210,4 @@ def test_catalyst_mb_job_budget(spark, blocker_out, pruning):
         ).count()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 15
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= budget

@@ -18,6 +18,11 @@ from repro.looseschema.partitioning import (
 )
 
 
+def _clusters(part) -> dict[str, int]:
+    """A pyarrow partition as ``{attribute: cluster}``."""
+    return dict(zip(part["attribute"].to_pylist(), part["cluster"].to_pylist()))
+
+
 @pytest.fixture(scope="module")
 def attr_tokens(spark):
     """Four attributes: two near-identical text pairs + one loner."""
@@ -42,63 +47,57 @@ def attr_counts(attr_tokens):
 
 class TestLearnedPartition:
     @pytest.fixture(scope="class")
-    def partition(self, spark, attr_counts):
-        return partition_attributes(spark, attr_counts, threshold=0.5).localCheckpoint(
-            eager=True
-        )
+    def partition(self, attr_counts):
+        return partition_attributes(attr_counts, threshold=0.5)
 
     def test_every_attribute_assigned_once(self, partition, attr_tokens):
         attrs = attr_tokens.select("attribute").distinct().count()
-        assert partition.count() == attrs
-        assert partition.select("attribute").distinct().count() == attrs
+        assert partition.num_rows == attrs
+        assert len(set(partition["attribute"].to_pylist())) == attrs
 
     def test_similar_attributes_clustered(self, partition):
-        c = {r["attribute"]: r["cluster"] for r in partition.collect()}
+        c = _clusters(partition)
         assert c["1.name"] == c["2.title"] != BLOB_CLUSTER
         assert c["1.price"] == c["2.cost"] != BLOB_CLUSTER
 
     def test_clusters_are_distinct(self, partition):
-        c = {r["attribute"]: r["cluster"] for r in partition.collect()}
+        c = _clusters(partition)
         assert c["1.name"] != c["1.price"]
 
     def test_loner_in_blob(self, partition):
-        c = {r["attribute"]: r["cluster"] for r in partition.collect()}
+        c = _clusters(partition)
         assert c["2.blurb"] == BLOB_CLUSTER
 
     def test_cluster_ids_dense_from_one(self, partition):
-        ids = sorted(
-            r["cluster"]
-            for r in partition.select("cluster").distinct().collect()
-            if r["cluster"] != BLOB_CLUSTER
-        )
+        ids = sorted(set(partition["cluster"].to_pylist()) - {BLOB_CLUSTER})
         assert ids == list(range(1, len(ids) + 1))
 
-    def test_threshold_one_degenerates_to_blob(self, spark, attr_counts):
-        p = partition_attributes(spark, attr_counts, threshold=1.0)
-        assert {r["cluster"] for r in p.collect()} == {BLOB_CLUSTER}
+    def test_threshold_one_degenerates_to_blob(self, attr_counts):
+        p = partition_attributes(attr_counts, threshold=1.0)
+        assert set(p["cluster"].to_pylist()) == {BLOB_CLUSTER}
 
-    def test_threshold_one_keeps_identical_token_sets(self, spark, attr_tokens):
+    def test_threshold_one_keeps_identical_token_sets(self, attr_tokens):
         """Similarity 1.0 clears a threshold of 1.0: two attributes with
         the same token set have the same signature and stay linked."""
         twin = attr_tokens.where(F.col("attribute") == "1.name").select(
             F.lit("2.name").alias("attribute"), "token"
         )
         p = partition_attributes(
-            spark, attribute_token_counts(attr_tokens.unionByName(twin)), threshold=1.0
+            attribute_token_counts(attr_tokens.unionByName(twin)), threshold=1.0
         )
-        c = {r["attribute"]: r["cluster"] for r in p.toArrow().to_pylist()}
+        c = _clusters(p)
         assert c.pop("1.name") == c.pop("2.name") == 1
         assert set(c.values()) == {BLOB_CLUSTER}
 
-    def test_tiny_threshold_merges_more(self, spark, attr_counts):
-        p = partition_attributes(spark, attr_counts, threshold=0.01)
-        non_blob = {r["attribute"] for r in p.collect() if r["cluster"] != BLOB_CLUSTER}
+    def test_tiny_threshold_merges_more(self, attr_counts):
+        p = partition_attributes(attr_counts, threshold=0.01)
+        non_blob = {a for a, c in _clusters(p).items() if c != BLOB_CLUSTER}
         assert {"1.name", "2.title", "1.price", "2.cost"} <= non_blob
 
-    def test_deterministic(self, spark, attr_counts):
-        p1 = sorted(map(tuple, partition_attributes(spark, attr_counts, threshold=0.5).collect()))
-        p2 = sorted(map(tuple, partition_attributes(spark, attr_counts, threshold=0.5).collect()))
-        assert p1 == p2
+    def test_deterministic(self, attr_counts):
+        p1 = partition_attributes(attr_counts, threshold=0.5)
+        p2 = partition_attributes(attr_counts, threshold=0.5)
+        assert p1.equals(p2)
 
 
 class TestDriverSteps:
@@ -157,12 +156,9 @@ def test_matches_reference_on_random_sets(spark, seed):
     ))
     attrs, sig = minhash.signatures(counts, num_hashes=64)
     for threshold, rows_per_band in [(0.2, 2), (0.4, 2), (0.3, 5)]:
-        got = {
-            r["attribute"]: r["cluster"]
-            for r in partition_attributes(
-                spark, counts, threshold=threshold, num_hashes=64, rows_per_band=rows_per_band
-            ).collect()
-        }
+        got = _clusters(partition_attributes(
+            counts, threshold=threshold, num_hashes=64, rows_per_band=rows_per_band
+        ))
         assert got == _reference_partition(attrs, sig, threshold, rows_per_band)
 
 
@@ -171,7 +167,7 @@ class TestOnDataset:
         """The demo's 6(b) structure on the synthetic Abt-Buy: one text
         cluster {A.name, B.title, B.descr}, one price cluster
         {A.price, B.cost}; description & manufacturer in the blob."""
-        c = {r["attribute"]: r["cluster"] for r in blocker_out["attr_clusters"].collect()}
+        c = _clusters(blocker_out["attr_clusters"])
         assert c["1.name"] == c["2.title"] == c["2.descr"] != BLOB_CLUSTER
         assert c["1.price"] == c["2.cost"] != BLOB_CLUSTER
         assert c["1.price"] != c["1.name"]
@@ -181,7 +177,7 @@ class TestOnDataset:
         """B.descr joins the text cluster only through A.name (its token
         set is dissimilar from B.title's) — evidence that the closure over
         best-partner pairs ran."""
-        c = {r["attribute"]: r["cluster"] for r in blocker_out["attr_clusters"].collect()}
+        c = _clusters(blocker_out["attr_clusters"])
         assert c["2.descr"] == c["2.title"]
 
 
@@ -212,29 +208,24 @@ def d1_counts(spark):
 
 
 @pytest.mark.parametrize("threshold", sorted(D1_PARTITIONS))
-def test_d1_partition_pinned(spark, d1_counts, threshold):
-    got = {r["attribute"]: r["cluster"]
-           for r in partition_attributes(spark, d1_counts, threshold=threshold).collect()}
+def test_d1_partition_pinned(d1_counts, threshold):
+    got = _clusters(partition_attributes(d1_counts, threshold=threshold))
     assert got == D1_PARTITIONS[threshold]
 
 
 class TestManualPartition:
-    def test_assignment_and_blob_default(self, spark, toy_tokens):
-        p = manual_partition(
-            spark, attribute_token_counts(toy_tokens), {"1.name": 1, "2.title": 1}
-        )
-        c = {r["attribute"]: r["cluster"] for r in p.collect()}
+    def test_assignment_and_blob_default(self, toy_tokens):
+        p = manual_partition(attribute_token_counts(toy_tokens), {"1.name": 1, "2.title": 1})
+        c = _clusters(p)
         assert c["1.name"] == c["2.title"] == 1
         assert c["1.abstract"] == BLOB_CLUSTER
         assert c["2.year"] == BLOB_CLUSTER
 
-    def test_every_attribute_covered(self, spark, toy_tokens):
-        p = manual_partition(spark, attribute_token_counts(toy_tokens), {"1.name": 5})
+    def test_every_attribute_covered(self, toy_tokens):
+        p = manual_partition(attribute_token_counts(toy_tokens), {"1.name": 5})
         n_attrs = toy_tokens.select("attribute").distinct().count()
-        assert p.count() == n_attrs
+        assert p.num_rows == n_attrs
 
-    def test_unknown_attribute_in_map_is_ignored(self, spark, toy_tokens):
-        p = manual_partition(
-            spark, attribute_token_counts(toy_tokens), {"no.such": 9, "1.name": 1}
-        )
-        assert p.where(F.col("attribute") == "no.such").count() == 0
+    def test_unknown_attribute_in_map_is_ignored(self, toy_tokens):
+        p = manual_partition(attribute_token_counts(toy_tokens), {"no.such": 9, "1.name": 1})
+        assert "no.such" not in p["attribute"].to_pylist()

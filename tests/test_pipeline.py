@@ -52,7 +52,8 @@ class TestBlockerOutputs:
             manual_clusters={"1.name": 1, "2.title": 1}, run_meta_blocking=False
         )
         out = run_blocker(spark, er[0], er[1], cfg)
-        c = {r["attribute"]: r["cluster"] for r in out["attr_clusters"].collect()}
+        part = out["attr_clusters"]
+        c = dict(zip(part["attribute"].to_pylist(), part["cluster"].to_pylist()))
         assert c["1.name"] == c["2.title"] == 1
         assert c["1.price"] == 0
 
@@ -203,7 +204,7 @@ def test_blast_c_reaches_meta_blocking(spark, er):
 
 
 @pytest.mark.parametrize("cfg, budget", [
-    (BlockerConfig(), 26),
+    (BlockerConfig(), 23),
     (BlockerConfig(loose_schema=False), 19),
 ], ids=["loose-schema", "schema-agnostic"])
 def test_blocker_job_budget(spark, er, cfg, budget):

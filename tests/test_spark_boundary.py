@@ -44,3 +44,27 @@ def test_driver_tables_are_pyarrow_tables():
 def test_no_row_collects():
     bad = [_where(p, n) for p, n in CALLS if n.func.attr == "collect"]
     assert not bad, f".collect() of Row objects in src/repro; read toArrow() columns: {bad}"
+
+
+def test_loose_schema_generator_stays_on_the_driver():
+    """``repro/looseschema`` builds no DataFrame and reads back from Spark
+    only in ``attribute_token_counts``, its one aggregation: the partition
+    and the entropies are pyarrow tables that meet Spark only where a
+    Spark plan joins them."""
+    pkg = SRC / "looseschema"
+    bad, seen = [], False
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        counts = {
+            id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "attribute_token_counts"
+            for n in ast.walk(f)
+        }
+        seen |= bool(counts)
+        bad += [
+            f"{_where(path, n)}: {n.func.attr}" for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("createDataFrame", "toArrow", "toPandas") and id(n) not in counts
+        ]
+    assert seen, "no attribute_token_counts found; the walk is broken"
+    assert not bad, f"Spark round trips in the Loose Schema Generator: {bad}"
